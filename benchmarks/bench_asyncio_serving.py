@@ -1,28 +1,12 @@
-"""Asyncio vs threaded front door under the batched serving workload
+"""Single-flight coalescing through the asyncio front door
 (BENCH_asyncio.json).
 
-BENCH_serving measures the transport-free dispatch core (the ~18.7k rps
-batching number on this box); this benchmark measures the *transports*:
-the same duplicate-heavy ``/lookup`` mix — the BENCH_serving shedding
-workload shape — driven over real sockets through keep-alive connections
-that pipeline requests in batches, against both servers mounted on
-byte-identical apps.
-
-Measured per server:
-
-* **batched rps** — wall-clock throughput with W closed-loop client
-  connections each sending pipelined batches of B requests and reading
-  B responses before the next batch;
-* **client p95 per request** — per-batch wall time divided by the batch
-  size, aggregated over every batch (what a caller batching its queries
-  actually experiences end-to-end, parsing included);
-* **dispatch p95** — the server-side ``serving.latency.lookup`` p95, to
-  separate transport cost from core cost.
-
-**Gated floor**: asyncio throughput must be >= 1.0x the threaded server
-on this workload — the event loop must at least match thread-per-
-connection before it can claim the front door.  Results accumulate in
-``benchmarks/output/BENCH_asyncio.json``.
+BENCH_serving measures the transport-free dispatch core; this benchmark
+drives the transport: a duplicate-heavy cold ``/reverse`` mix over real
+sockets, through keep-alive connections that pipeline requests in
+batches, must still cost at most one backend call per distinct cell —
+the executor split re-enters the same single-flight service.  Results
+accumulate in ``benchmarks/output/BENCH_asyncio.json``.
 """
 
 from __future__ import annotations
@@ -40,10 +24,10 @@ from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import DirectBackend
 from repro.geocode.service import GeocodeService
 from repro.serving import (
+    AsyncServerThread,
     ServingApp,
     ServingSnapshot,
     SnapshotStore,
-    start_background_server,
 )
 
 _OUTPUT = Path(__file__).parent / "output" / "BENCH_asyncio.json"
@@ -54,12 +38,6 @@ WORKERS = 8
 #: Requests pipelined per batch: send B, then read B responses.
 BATCH_SIZE = 32
 
-#: Batches each worker sends (per measured phase).
-BATCHES_PER_WORKER = 25
-
-#: The asyncio server must at least match the threaded server.
-THROUGHPUT_FLOOR = 1.0
-
 
 def _merge_into_report(payload: dict) -> None:
     _OUTPUT.parent.mkdir(exist_ok=True)
@@ -68,14 +46,6 @@ def _merge_into_report(payload: dict) -> None:
         report = json.loads(_OUTPUT.read_text(encoding="utf-8"))
     report.update(payload)
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-
-def _build_app(ctx) -> ServingApp:
-    snapshot = ServingSnapshot.from_study(ctx.korean_study)
-    geocoder = GeocodeService(
-        DirectBackend(ReverseGeocoder(ctx.korean_dataset.gazetteer))
-    )
-    return ServingApp(SnapshotStore(snapshot), geocoder)
 
 
 def _batch_bytes(targets: list[str]) -> bytes:
@@ -147,80 +117,6 @@ def _closed_loop(port: int, plans: list[list[list[str]]]):
     return totals["ok"], batch_times, wall_s
 
 
-def _p95(values: list[float]) -> float:
-    ranked = sorted(values)
-    return ranked[min(len(ranked) - 1, int(0.95 * len(ranked)))]
-
-
-def _bench_server(ctx, kind: str, plans) -> dict:
-    """Measure one front end; returns its report row."""
-    app = _build_app(ctx)
-    server = start_background_server(app, kind)
-    try:
-        # Untimed warmup round so thread spawn / loop start / allocator
-        # noise lands outside the measured phase for both servers alike.
-        _closed_loop(server.port, [plan[:2] for plan in plans])
-        ok, batch_times, wall_s = _closed_loop(server.port, plans)
-    finally:
-        server.shutdown()
-    requests = sum(len(batch) for plan in plans for batch in plan)
-    assert ok == requests, f"{kind}: {requests - ok} non-200 responses"
-    metrics = app.metrics.snapshot()
-    return {
-        "requests": requests,
-        "wall_s": round(wall_s, 4),
-        "throughput_rps": round(requests / wall_s, 1),
-        "client_p95_us_per_request": round(
-            _p95(batch_times) / BATCH_SIZE * 1e6, 2
-        ),
-        "dispatch_p95_us": round(
-            metrics["serving.latency.lookup.p95"] * 1e6, 2
-        ),
-    }
-
-
-@pytest.mark.slow
-def test_asyncio_meets_threaded_throughput(ctx):
-    """Batched socket workload: asyncio rps >= 1.0x threaded rps."""
-    rng = random.Random(17)
-    user_ids = list(ctx.korean_study.groupings)
-    plans = [
-        [
-            [f"/lookup?user={rng.choice(user_ids)}" for _ in range(BATCH_SIZE)]
-            for _ in range(BATCHES_PER_WORKER)
-        ]
-        for _ in range(WORKERS)
-    ]
-
-    results = {kind: _bench_server(ctx, kind, plans) for kind in ("thread", "asyncio")}
-    speedup = (
-        results["asyncio"]["throughput_rps"] / results["thread"]["throughput_rps"]
-    )
-
-    _merge_into_report(
-        {
-            "batched_lookup": {
-                "workers": WORKERS,
-                "batch_size": BATCH_SIZE,
-                "thread": results["thread"],
-                "asyncio": results["asyncio"],
-                "asyncio_vs_thread": round(speedup, 3),
-                "floor": THROUGHPUT_FLOOR,
-            }
-        }
-    )
-    print(
-        f"\nbatched /lookup over sockets: thread "
-        f"{results['thread']['throughput_rps']} rps, asyncio "
-        f"{results['asyncio']['throughput_rps']} rps "
-        f"({speedup:.2f}x, floor {THROUGHPUT_FLOOR}x)"
-    )
-    assert speedup >= THROUGHPUT_FLOOR, (
-        f"asyncio served {speedup:.2f}x the threaded baseline, "
-        f"below the {THROUGHPUT_FLOOR}x floor"
-    )
-
-
 @pytest.mark.slow
 def test_single_flight_survives_the_event_loop(ctx):
     """The BENCH_serving batching claim holds through the asyncio
@@ -258,7 +154,7 @@ def test_single_flight_survives_the_event_loop(ctx):
         for _ in range(WORKERS)
     ]
 
-    server = start_background_server(app, "asyncio")
+    server = AsyncServerThread(app).start()
     try:
         ok, _, wall_s = _closed_loop(server.port, plans)
     finally:

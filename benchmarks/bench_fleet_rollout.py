@@ -15,7 +15,7 @@ floor so a regression fails the bench run:
   hitting one replica directly.  Floor: the front keeps at least
   ``OVERHEAD_FLOOR`` of direct throughput.
 
-Replicas are in-process (real ``ServingApp`` on real threaded-server
+Replicas are in-process (real ``ServingApp`` on real asyncio-server
 sockets) so the numbers measure the fleet machinery, not subprocess
 boot cost.  Run with ``-m slow -s``; results merge into
 ``benchmarks/output/BENCH_fleet.json``.
@@ -44,7 +44,7 @@ from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import DirectBackend
 from repro.geocode.service import GeocodeService
 from repro.serving import ServingApp, ServingSnapshot, SnapshotStore
-from repro.serving.aio import ThreadedServerHandle
+from repro.serving.aio import AsyncServerThread
 
 _OUTPUT = Path(__file__).parent / "output" / "BENCH_fleet.json"
 
@@ -128,7 +128,7 @@ def _build_fleet(ctx, faulty_first: bool = False):
             mounted = _ErrorOnV2(app)
             mounted.bad_digest = v2.digest
             wrappers.append(mounted)
-        server = ThreadedServerHandle(mounted).start()
+        server = AsyncServerThread(mounted).start()
         servers.append(server)
         targets.add(ReplicaTarget(f"r{index}", "127.0.0.1", server.port))
     return v1, v2, targets, servers

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -46,6 +47,7 @@ from repro.geodata.registry import dataset_gazetteer
 from repro.datasets.korean import KoreanDatasetConfig, build_korean_dataset
 from repro.datasets.ladygaga import LadyGagaDatasetConfig, build_ladygaga_dataset
 from repro.errors import (
+    ConfigurationError,
     FleetError,
     ReplicaUnreachableError,
     ReproError,
@@ -72,15 +74,13 @@ from repro.geocode.service import GeocodeService
 from repro.live import DeltaSnapshotBuilder, LiveConfig, LiveStudyPipeline
 from repro.pipelines.experiments import EXPERIMENTS, run_experiment
 from repro.serving import (
-    AsyncStudyServer,
+    AsyncServerThread,
     ServingApp,
     SnapshotStore,
-    StudyServer,
     TokenBucket,
     install_reload_signal,
     load_snapshot,
     render_serving_summary,
-    start_background_server,
 )
 from repro.streaming import (
     BackpressurePolicy,
@@ -410,46 +410,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot_loader=snapshot_loader,
     )
     hup = install_reload_signal(app)
-    if args.server == "asyncio":
-        return _serve_asyncio_forever(app, args.host, args.port, hup)
-    server = StudyServer(app, host=args.host, port=args.port)
-    print(render_serving_summary(app, args.host, server.port))
-    print("  server: thread-per-connection")
-    if hup:
-        print("  reload: POST /admin/reload or SIGHUP")
-    else:
-        print("  reload: POST /admin/reload")
-    sys.stdout.flush()
+    server = _start_server(app, args.host, args.port)
     try:
-        server.serve_forever()
+        print(render_serving_summary(app, args.host, server.port))
+        print("  reload: POST /admin/reload" + (" or SIGHUP" if hup else ""))
+        sys.stdout.flush()
+        server.join()
     except KeyboardInterrupt:
         pass
     finally:
-        server.server_close()
+        server.shutdown()
     return 0
 
 
-def _serve_asyncio_forever(app: ServingApp, host: str, port: int, hup: bool) -> int:
-    """Foreground event-loop serving (`repro serve --server asyncio`)."""
-    import asyncio
+def _start_server(app, host: str, port: int) -> AsyncServerThread:
+    """Bind ``app`` on the asyncio transport, served from a background thread.
 
-    async def run() -> None:
-        server = AsyncStudyServer(app, host=host, port=port)
-        await server.start()
-        print(render_serving_summary(app, host, server.port))
-        print("  server: asyncio (keep-alive + pipelining, single event loop)")
-        print("  reload: POST /admin/reload" + (" or SIGHUP" if hup else ""))
-        sys.stdout.flush()
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
+    The main thread stays free for Ctrl-C, ``SIGHUP`` and (in ``repro
+    live``) the ingest pipeline.
 
+    Raises:
+        ConfigurationError: if the address cannot be bound (port in use,
+            unknown host) — one ``error:`` line from :func:`main`
+            instead of a socket traceback.
+    """
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    return 0
+        return AsyncServerThread(app, host=host, port=port).start()
+    except OSError as exc:
+        # asyncio rewraps a bind error with the address spelled out again;
+        # the errno's own text is the useful part.
+        reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc
+        raise ConfigurationError(f"cannot listen on {host}:{port}: {reason}") from None
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
@@ -461,53 +452,58 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         args.snapshot,
         args.replicas,
         targets,
-        server=args.replica_server,
         gazetteer=args.gazetteer,
         metrics=metrics,
     )
+    # Everything that can fail or be interrupted once replicas may be
+    # running — their boot, the front's bind, Ctrl-C at any point — sits
+    # inside this try, so the finally always reaps the subprocesses.
+    server = controller = None
     try:
-        supervisor.start()
-    except FleetError as exc:
-        print(f"error: fleet boot failed: {exc}", file=sys.stderr)
-        supervisor.stop()
-        targets.close()
-        return EXIT_RESUME_STATE
-    bucket = TokenBucket(rate=args.rate if args.rate > 0 else None, burst=args.burst)
-    front = FleetFront(targets, metrics=metrics, bucket=bucket, route=route)
-    publisher = SnapshotPublisher(targets, metrics=metrics)
-    controller = FleetController(
-        front,
-        publisher,
-        current_path=args.snapshot,
-        config=RolloutConfig(
-            min_shadow_samples=args.min_shadow_samples,
-            max_error_rate=args.max_error_rate,
-            max_p95_latency_s=args.max_p95_latency,
-            shadow_timeout_s=args.shadow_timeout,
-        ),
-        supervisor=supervisor,
-        metrics=metrics,
-    )
-    server = start_background_server(front, args.server, args.host, args.port)
-    print(f"fleet front on http://{args.host}:{server.port} "
-          f"({args.server} transport, {route} routing)")
-    for handle in supervisor.handles():
-        print(f"  replica {handle.replica_id}: http://{handle.host}:{handle.port} "
-              f"({handle.server}, pid {handle.pid})")
-    print(f"  snapshot: {args.snapshot} "
-          f"(version {controller.current_version or 'unknown'})")
-    print("  endpoints: data endpoints proxied; "
-          "/fleet/healthz /fleet/metrics /fleet/status /fleet/publish")
-    print("  publish: repro fleet publish <snapshot> "
-          f"--front-port {server.port}")
-    sys.stdout.flush()
-    try:
+        try:
+            supervisor.start()
+        except FleetError as exc:
+            print(f"error: fleet boot failed: {exc}", file=sys.stderr)
+            return EXIT_RESUME_STATE
+        bucket = TokenBucket(
+            rate=args.rate if args.rate > 0 else None, burst=args.burst
+        )
+        front = FleetFront(targets, metrics=metrics, bucket=bucket, route=route)
+        publisher = SnapshotPublisher(targets, metrics=metrics)
+        controller = FleetController(
+            front,
+            publisher,
+            current_path=args.snapshot,
+            config=RolloutConfig(
+                min_shadow_samples=args.min_shadow_samples,
+                max_error_rate=args.max_error_rate,
+                max_p95_latency_s=args.max_p95_latency,
+                shadow_timeout_s=args.shadow_timeout,
+            ),
+            supervisor=supervisor,
+            metrics=metrics,
+        )
+        server = _start_server(front, args.host, args.port)
+        print(f"fleet front on http://{args.host}:{server.port} "
+              f"({route} routing)")
+        for handle in supervisor.handles():
+            print(f"  replica {handle.replica_id}: "
+                  f"http://{handle.host}:{handle.port} (pid {handle.pid})")
+        print(f"  snapshot: {args.snapshot} "
+              f"(version {controller.current_version or 'unknown'})")
+        print("  endpoints: data endpoints proxied; "
+              "/fleet/healthz /fleet/metrics /fleet/status /fleet/publish")
+        print("  publish: repro fleet publish <snapshot> "
+              f"--front-port {server.port}")
+        sys.stdout.flush()
         server.join()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
-        controller.shutdown()
+        if server is not None:
+            server.shutdown()
+        if controller is not None:
+            controller.shutdown()
         supervisor.stop()
         targets.close()
     return 0
@@ -563,8 +559,8 @@ def _cmd_fleet_publish(args: argparse.Namespace) -> int:
 def _cmd_live(args: argparse.Namespace) -> int:
     """Run ingestion and serving in one process (`repro live`).
 
-    Boots a :class:`~repro.serving.http.StudyServer` over the (initially
-    empty or resumed) accumulator state, then pumps the synthetic
+    Boots an :class:`~repro.serving.aio.AsyncStudyServer` over the
+    (initially empty or resumed) accumulator state, then pumps the synthetic
     firehose while a :class:`~repro.live.pipeline.LiveStudyPipeline`
     builds delta snapshots on cadence and hot-swaps them into the running
     server — queries observe each publish as a generation bump on
@@ -627,9 +623,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
             pace_s=args.pace_ms / 1000.0,
         ),
     )
-    server = start_background_server(app, args.server, args.host, args.port)
+    server = _start_server(app, args.host, args.port)
     print(render_serving_summary(app, args.host, server.port))
-    print(f"  server: {args.server}")
     print(f"  live: cadence {args.cadence} batches"
           + (f" / {args.cadence_seconds}s" if args.cadence_seconds > 0 else "")
           + f", serving while streaming {len(source)} tweets")
@@ -688,6 +683,17 @@ def _add_cache_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default="",
                         help="directory for the persistent geocode cell cache; "
                         "reuse it across runs to skip already-resolved cells")
+
+
+def _add_transport_option(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Keep ``--server asyncio`` style flags parsing, hidden from ``--help``.
+
+    asyncio is the only HTTP transport, so these select nothing; they stay
+    so existing command lines keep working, and any other value is an
+    argparse error.
+    """
+    for flag in flags:
+        parser.add_argument(flag, choices=("asyncio",), help=argparse.SUPPRESS)
 
 
 class _OneLineArgumentParser(argparse.ArgumentParser):
@@ -833,9 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate", type=float, default=0.0,
                        help="admitted data requests per second "
                        "(0 = unlimited; excess answered 429)")
-    serve.add_argument("--server", choices=("thread", "asyncio"), default="thread",
-                       help="front end: thread-per-connection stdlib server or "
-                            "single event loop with keep-alive pipelining")
+    _add_transport_option(serve, "--server")
     serve.add_argument("--burst", type=int, default=32,
                        help="admission burst capacity above the sustained rate")
     serve.set_defaults(func=_cmd_serve)
@@ -859,8 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--rate", type=float, default=0.0,
                       help="admitted data requests per second "
                       "(0 = unlimited; excess answered 429)")
-    live.add_argument("--server", choices=("thread", "asyncio"), default="thread",
-                      help="serving front end (same choice as `repro serve`)")
+    _add_transport_option(live, "--server")
     live.add_argument("--burst", type=int, default=32,
                       help="admission burst capacity above the sustained rate")
     live.add_argument("--policy", choices=[p.value for p in BackpressurePolicy],
@@ -904,12 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="front bind address")
     fleet_run.add_argument("--port", type=int, default=8090,
                            help="front port (0 = ephemeral)")
-    fleet_run.add_argument("--server", choices=("thread", "asyncio"),
-                           default="thread",
-                           help="front transport (default thread)")
-    fleet_run.add_argument("--replica-server", choices=("thread", "asyncio"),
-                           default="thread",
-                           help="replica transport (default thread)")
+    _add_transport_option(fleet_run, "--server", "--replica-server")
     routing = fleet_run.add_mutually_exclusive_group()
     routing.add_argument("--hash", action="store_true",
                          help="consistent-hash routing (stable replica per key)")

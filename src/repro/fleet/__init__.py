@@ -4,7 +4,7 @@ The fleet layer scales the single-process serving stack horizontally on
 one machine: a :class:`~repro.fleet.replica.ReplicaSupervisor` keeps N
 ``repro serve`` subprocesses alive, a
 :class:`~repro.fleet.front.FleetFront` (itself an app-protocol object,
-mountable on either serving transport) routes and retries requests
+mountable on the serving transport) routes and retries requests
 across them, a :class:`~repro.fleet.publisher.SnapshotPublisher` fans
 snapshot reloads out and verifies convergence by content digest, and a
 :class:`~repro.fleet.controller.FleetController` runs health-gated

@@ -1,14 +1,13 @@
 """The fleet front: one address, many replicas, same wire protocol.
 
 :class:`FleetFront` implements the exact app protocol the serving
-transports mount — ``dispatch(method, target) -> (status, bytes)``,
-``dispatch_blocks``, ``metrics`` — so the PR 9 framing code serves it
-unchanged: ``start_background_server(front, "thread" | "asyncio")``
-gives the fleet a thread-per-connection or event-loop front door with
-keep-alive, pipelining, and the full error taxonomy, none of it
-reimplemented here.  (Under the asyncio transport every proxied request
-blocks on a replica socket, so ``dispatch_blocks`` answers ``True`` for
-them and the transport runs the proxy hop on its executor.)
+transport mounts — ``dispatch(method, target) -> (status, bytes)``,
+``dispatch_blocks``, ``metrics`` — so the study server's framing code
+serves it unchanged: ``AsyncServerThread(front).start()`` gives the
+fleet an event-loop front door with keep-alive, pipelining, and the
+full error taxonomy, none of it reimplemented here.  (Every proxied
+request blocks on a replica socket, so ``dispatch_blocks`` answers
+``True`` for them and the transport runs the proxy hop on its executor.)
 
 Request path, in order:
 
@@ -58,7 +57,7 @@ FLEET_PREFIX = "/fleet"
 
 
 class FleetFront:
-    """Routing core for a replica fleet; mounts on either transport.
+    """Routing core for a replica fleet; mounts on the serving transport.
 
     Args:
         replicas: The shared replica registry (also updated by the

@@ -60,7 +60,6 @@ class ReplicaHandle:
     Args:
         replica_id: Stable fleet name for this slot (``"r0"``, …).
         snapshot_path: Study artifact the replica boots from.
-        server: Transport for the replica itself (``thread``/``asyncio``).
         gazetteer: Gazetteer name passed through to ``repro serve``.
         host: Bind address (loopback for single-machine fleets).
         boot_timeout_s: Deadline for banner + first health check.
@@ -70,14 +69,12 @@ class ReplicaHandle:
         self,
         replica_id: str,
         snapshot_path: str,
-        server: str = "thread",
         gazetteer: str = "korean",
         host: str = "127.0.0.1",
         boot_timeout_s: float = DEFAULT_BOOT_TIMEOUT_S,
     ):
         self.replica_id = replica_id
         self.snapshot_path = snapshot_path
-        self.server = server
         self.gazetteer = gazetteer
         self.host = host
         self.boot_timeout_s = boot_timeout_s
@@ -100,8 +97,6 @@ class ReplicaHandle:
             self.host,
             "--port",
             "0",
-            "--server",
-            self.server,
             "--gazetteer",
             self.gazetteer,
         ]
@@ -220,7 +215,6 @@ class ReplicaSupervisor:
         snapshot_path: Seed snapshot every replica boots with (becomes
             each handle's initial ``desired`` version).
         replicas: Fleet size.
-        server: Replica transport (``thread``/``asyncio``).
         gazetteer: Gazetteer name for the replicas.
         targets: Shared registry the front routes from; the supervisor
             registers one target per replica and rebinds it on restart.
@@ -234,7 +228,6 @@ class ReplicaSupervisor:
         snapshot_path: str,
         replicas: int,
         targets: ReplicaSet,
-        server: str = "thread",
         gazetteer: str = "korean",
         metrics=None,
         poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
@@ -256,7 +249,6 @@ class ReplicaSupervisor:
             self._handles[replica_id] = ReplicaHandle(
                 replica_id,
                 snapshot_path,
-                server=server,
                 gazetteer=gazetteer,
                 boot_timeout_s=boot_timeout_s,
             )

@@ -15,7 +15,7 @@ subsystems that previously never touched:
   (:class:`LiveStudyPipeline`);
 * **serving** (:mod:`repro.serving`) publishes each build through the
   atomic :meth:`~repro.serving.state.SnapshotStore.swap` a running
-  :class:`~repro.serving.http.StudyServer` reads — no SIGHUP, no file
+  :class:`~repro.serving.aio.AsyncStudyServer` reads — no SIGHUP, no file
   round-trip, old snapshot retained on build failure.
 
 The core invariant — property-tested in

@@ -9,7 +9,7 @@ on a configurable cadence a :class:`~repro.live.builder
 :class:`~repro.serving.state.ServingSnapshot` and publishes it through
 :meth:`~repro.serving.state.SnapshotStore.swap` — the same atomic swap
 ``POST /admin/reload`` uses, with no signal and no file round-trip.
-Query threads of a running :class:`~repro.serving.http.StudyServer`
+Requests on a running :class:`~repro.serving.aio.AsyncStudyServer`
 observe each publish as a generation bump; in-flight requests keep the
 reference they already grabbed.
 
@@ -101,7 +101,7 @@ class LiveStudyPipeline:
             claimed by this pipeline).
         builder: Delta builder over the pump's accumulator.
         store: The serving store swaps publish into (typically the one a
-            running :class:`~repro.serving.http.StudyServer` reads).
+            running :class:`~repro.serving.aio.AsyncStudyServer` reads).
         config: Cadence tunables.
         clock: Injectable monotonic clock (tests drive cadence and lag
             deterministically).

@@ -23,20 +23,14 @@ Layer map:
 * :mod:`repro.serving.handlers` — pure ``(snapshot, params) -> (status,
   body)`` endpoint functions.
 * :mod:`repro.serving.http` — :class:`ServingApp` (dispatch, admission,
-  metrics), :class:`StudyServer` (threaded HTTP), reload plumbing.
-* :mod:`repro.serving.aio` — :class:`AsyncStudyServer` (the same app on
-  one asyncio event loop: keep-alive, pipelining, executor off-load for
-  cold ``/reverse``), :class:`AsyncServerThread` /
-  :class:`ThreadedServerHandle` background harnesses,
-  :func:`start_background_server`.
+  metrics), reload plumbing.
+* :mod:`repro.serving.aio` — :class:`AsyncStudyServer`, the one HTTP
+  transport (the app on one asyncio event loop: keep-alive, pipelining,
+  executor off-load for cold ``/reverse``), and
+  :class:`AsyncServerThread`, its background-thread harness.
 """
 
-from repro.serving.aio import (
-    AsyncServerThread,
-    AsyncStudyServer,
-    ThreadedServerHandle,
-    start_background_server,
-)
+from repro.serving.aio import AsyncServerThread, AsyncStudyServer
 from repro.serving.batcher import FlightStats, SingleFlight
 from repro.serving.handlers import (
     handle_healthz,
@@ -49,7 +43,6 @@ from repro.serving.handlers import (
 )
 from repro.serving.http import (
     ServingApp,
-    StudyServer,
     encode_body,
     install_reload_signal,
     render_serving_summary,
@@ -69,8 +62,6 @@ __all__ = [
     "ServingSnapshot",
     "SingleFlight",
     "SnapshotStore",
-    "StudyServer",
-    "ThreadedServerHandle",
     "TokenBucket",
     "encode_body",
     "handle_healthz",
@@ -83,5 +74,4 @@ __all__ = [
     "install_reload_signal",
     "load_snapshot",
     "render_serving_summary",
-    "start_background_server",
 ]

@@ -1,13 +1,13 @@
-"""Asyncio serving front door: the event-loop twin of :class:`StudyServer`.
+"""Asyncio serving front door: :class:`ServingApp` on one event loop.
 
-The threaded server (:class:`~repro.serving.http.StudyServer`) spends a
-kernel thread per connection to serve what is almost always a dictionary
-read off an immutable snapshot.  :class:`AsyncStudyServer` serves the
-same :meth:`~repro.serving.http.ServingApp.dispatch` core from a single
+:class:`AsyncStudyServer` serves the
+:meth:`~repro.serving.http.ServingApp.dispatch` core from a single
 event loop: one task per connection, hand-rolled minimal HTTP/1.1
 parsing, keep-alive by default, and request pipelining for free (the
 stream reader buffers whatever the client sent ahead; the loop just
-keeps parsing).
+keeps parsing).  It is the only transport: ``repro serve``, ``repro
+live`` and both the front and the replicas of ``repro fleet run`` start
+it through :class:`AsyncServerThread`.
 
 **What runs where.**  Every endpoint except a *cold* ``/reverse`` cell
 is non-blocking — a pure read of the snapshot the request grabbed — so
@@ -17,17 +17,17 @@ geocode backend (milliseconds, not microseconds), so those requests are
 routed through a small thread-pool executor, identified up front by
 :meth:`ServingApp.dispatch_blocks` (a read-only cache probe).  The
 executor threads re-enter the same
-:class:`~repro.serving.batcher.SingleFlight`-coordinated service the
-threaded server uses, so concurrent duplicate misses still cost one
-backend call per distinct cell.
+:class:`~repro.serving.batcher.SingleFlight`-coordinated service, so
+concurrent duplicate misses still cost one backend call per distinct
+cell.
 
 **Identical semantics by construction.**  Admission, snapshot grab,
 handlers, canonical JSON encoding, latency recording, hot reload — all
-of it lives inside ``ServingApp.dispatch``, which both servers mount
-unchanged.  The parity suite (``tests/serving/test_parity.py``) asserts
-the consequence: byte-identical status/body pairs across the two
-servers on every endpoint, including while snapshots hot-swap under the
-requests.
+of it lives inside ``ServingApp.dispatch``, which the server mounts
+unchanged.  The conformance suite (``tests/serving/test_parity.py``)
+asserts the consequence: wire bodies byte-identical to an in-process
+``dispatch`` on every endpoint, including while snapshots hot-swap
+under the requests.
 
 **Error taxonomy** (connection level; ``dispatch`` owns request-level
 errors):
@@ -51,7 +51,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.serving.http import CONTENT_TYPE, ServingApp, StudyServer, encode_body
+from repro.serving.http import CONTENT_TYPE, ServingApp, encode_body
 
 #: Longest accepted request/header line, and the stream reader's buffer
 #: limit.  Anything longer is a framing error, not a request.
@@ -61,9 +61,10 @@ MAX_LINE_BYTES = 65_536
 #: header floods holding parser state open forever.
 MAX_HEADER_COUNT = 100
 
-#: Executor threads for cold ``/reverse`` dispatches.  Distinct cold
-#: cells beyond this queue behind the pool; duplicates of an in-flight
-#: cell coalesce in single-flight regardless.
+#: Executor threads for dispatches the app declares blocking: cold
+#: ``/reverse`` cells on a study app, every proxied request on a fleet
+#: front.  Work beyond this queues behind the pool; duplicates of an
+#: in-flight ``/reverse`` cell coalesce in single-flight regardless.
 REVERSE_EXECUTOR_WORKERS = 8
 
 #: Reason phrases for the statuses the dispatch core emits.
@@ -109,38 +110,26 @@ def _response_bytes(status: int, payload: bytes, keep_alive: bool) -> bytes:
 class AsyncStudyServer:
     """The study snapshot server on one event loop, shared app.
 
-    Mounts the same :class:`~repro.serving.http.ServingApp` as the
-    threaded :class:`~repro.serving.http.StudyServer`; see the module
+    Mounts a :class:`~repro.serving.http.ServingApp`; see the module
     docstring for the event-loop/executor split and error taxonomy.
 
     Args:
-        app: The request core (shared with any other front end).  Any
-            object with the ``dispatch`` / ``dispatch_blocks`` /
-            ``metrics`` surface mounts here — the fleet front
-            (:class:`~repro.fleet.front.FleetFront`) reuses this exact
-            framing code by implementing the same protocol.
+        app: The request core.  Any object with the ``dispatch`` /
+            ``dispatch_blocks`` / ``metrics`` surface mounts here — the
+            fleet front (:class:`~repro.fleet.front.FleetFront`) reuses
+            this exact framing code by implementing the same protocol.
         host: Bind address.
         port: TCP port; ``0`` picks a free one (see :attr:`port`).
-        executor_workers: Thread-pool width for dispatches the app
-            declares blocking.  The default suits the study app (only
-            cold ``/reverse`` blocks); a proxying app like the fleet
-            front blocks on *every* request and wants a wider pool.
     """
 
-    def __init__(
-        self,
-        app: ServingApp,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        executor_workers: int | None = None,
-    ):
+    def __init__(self, app: ServingApp, host: str = "127.0.0.1", port: int = 8080):
         self.app = app
         self._host = host
         self._requested_port = port
         self._server: asyncio.Server | None = None
         self._connections: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers or REVERSE_EXECUTOR_WORKERS,
+            max_workers=REVERSE_EXECUTOR_WORKERS,
             thread_name_prefix="aio-reverse",
         )
 
@@ -161,11 +150,6 @@ class AsyncStudyServer:
         """The actually-bound port (useful after binding port 0)."""
         assert self._server is not None, "server not started"
         return self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        """Accept connections until cancelled or :meth:`stop` is called."""
-        assert self._server is not None, "server not started"
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Close the listening socket, drop live connections, release the
@@ -300,8 +284,8 @@ class AsyncStudyServer:
 
         The dispatch core takes no request bodies, but the bytes must
         leave the stream: an undrained body would be parsed as the next
-        pipelined request's head — the exact keep-alive corruption the
-        threaded server's ``_drain_body`` fixes.
+        pipelined request's head, corrupting every request behind it on
+        the connection.
         """
         if raw_length is None:
             return
@@ -325,10 +309,11 @@ class AsyncServerThread:
     """An :class:`AsyncStudyServer` on a dedicated event-loop thread.
 
     The synchronous harness the rest of the system needs: ``repro live``
-    runs its pipeline on the main thread, tests and benchmarks drive
-    blocking socket clients — all of them want ``start() / port /
-    shutdown()`` semantics, mirroring how :class:`StudyServer` pairs
-    with a ``serve_forever`` thread.
+    runs its pipeline on the main thread, ``repro serve`` and ``repro
+    fleet run`` park the main thread in :meth:`join` so Ctrl-C and
+    ``SIGHUP`` land there, and tests and benchmarks drive blocking
+    socket clients — all of them want ``start() / port / shutdown()``
+    semantics.
 
     Args:
         app: The request core.
@@ -336,17 +321,10 @@ class AsyncServerThread:
         port: TCP port; ``0`` picks a free one.
     """
 
-    def __init__(
-        self,
-        app: ServingApp,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor_workers: int | None = None,
-    ):
+    def __init__(self, app: ServingApp, host: str = "127.0.0.1", port: int = 0):
         self.app = app
         self._host = host
         self._requested_port = port
-        self._executor_workers = executor_workers
         self._thread = threading.Thread(
             target=self._run, name="aio-serving", daemon=True
         )
@@ -405,10 +383,7 @@ class AsyncServerThread:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         server = AsyncStudyServer(
-            self.app,
-            host=self._host,
-            port=self._requested_port,
-            executor_workers=self._executor_workers,
+            self.app, host=self._host, port=self._requested_port
         )
         await server.start()
         self._port = server.port
@@ -417,73 +392,3 @@ class AsyncServerThread:
             await self._stop_event.wait()
         finally:
             await server.stop()
-
-
-class ThreadedServerHandle:
-    """A :class:`StudyServer` + its ``serve_forever`` thread, same shape.
-
-    Gives the threaded server the ``port / shutdown() / join()`` surface
-    :class:`AsyncServerThread` has, so callers that take a ``--server``
-    choice (the CLI, the parity tests, the benchmark) can hold either
-    behind one variable.
-    """
-
-    def __init__(self, app: ServingApp, host: str = "127.0.0.1", port: int = 0):
-        self.app = app
-        self._server = StudyServer(app, host=host, port=port)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="thread-serving", daemon=True
-        )
-
-    def start(self, timeout: float = 10.0) -> "ThreadedServerHandle":
-        """Start the accept loop thread (the socket is already bound)."""
-        del timeout  # binding happened in __init__; signature parity only
-        self._thread.start()
-        return self
-
-    @property
-    def port(self) -> int:
-        """The actually-bound port."""
-        return self._server.port
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the accept loop, close the socket, join the thread."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread.is_alive():
-            self._thread.join(timeout)
-
-    def join(self) -> None:
-        """Block until the accept-loop thread exits."""
-        self._thread.join()
-
-
-def start_background_server(
-    app: ServingApp,
-    server: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    executor_workers: int | None = None,
-) -> AsyncServerThread | ThreadedServerHandle:
-    """Boot either front end on a background thread; started on return.
-
-    Args:
-        app: The request core (or any app-protocol object, e.g. a
-            :class:`~repro.fleet.front.FleetFront`).
-        server: ``"thread"`` or ``"asyncio"`` (the CLI ``--server`` value).
-        host: Bind address.
-        port: TCP port; ``0`` picks a free one.
-        executor_workers: Blocking-dispatch pool width for the asyncio
-            transport (ignored by the threaded one, which is a thread
-            per connection anyway).
-
-    Raises:
-        ValueError: on an unknown ``server`` kind.
-    """
-    if server == "asyncio":
-        return AsyncServerThread(
-            app, host=host, port=port, executor_workers=executor_workers
-        ).start()
-    if server == "thread":
-        return ThreadedServerHandle(app, host=host, port=port).start()
-    raise ValueError(f"unknown server kind: {server!r}")

@@ -22,10 +22,10 @@ Layering — each request passes through, in order:
    (``serving.latency.<endpoint>``), surfaced by ``/metrics``.
 
 :class:`ServingApp` is the transport-free core — tests drive it directly
-via :meth:`ServingApp.dispatch` without sockets.  :class:`StudyServer`
-mounts it on a stdlib ``ThreadingHTTPServer``.  Hot reload is exposed
-twice: ``POST /admin/reload`` and (where the platform has it) ``SIGHUP``
-via :func:`install_reload_signal`.
+via :meth:`ServingApp.dispatch` without sockets, and
+:class:`~repro.serving.aio.AsyncStudyServer` mounts it on an asyncio
+event loop.  Hot reload is exposed twice: ``POST /admin/reload`` and
+(where the platform has it) ``SIGHUP`` via :func:`install_reload_signal`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import json
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
 
@@ -142,13 +141,11 @@ class ServingApp:
             status, body = self._route(method, path, params)
         except Exception as exc:
             # An unexpected handler exception must still produce a
-            # response: the stdlib server would otherwise drop the
-            # connection with a stderr traceback and no bytes, and the
-            # asyncio server would tear down a keep-alive pipeline.
-            # Expected failures (bad params, geocode misses, reload
-            # errors) are already mapped to 4xx/5xx by the handlers;
-            # anything reaching here is a bug, answered uniformly so
-            # both servers stay byte-identical.
+            # response: otherwise the server would tear down a
+            # keep-alive pipeline with no bytes.  Expected failures (bad
+            # params, geocode misses, reload errors) are already mapped
+            # to 4xx/5xx by the handlers; anything reaching here is a
+            # bug, answered uniformly and canonically.
             self.metrics.counter("serving.errors")
             status, body = 500, {
                 "error": f"internal server error: {type(exc).__name__}"
@@ -296,120 +293,6 @@ class ServingApp:
     def draining(self) -> bool:
         """Whether new data requests are currently being refused."""
         return self._draining
-
-
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Thin stdlib adapter: socket in, :meth:`ServingApp.dispatch` out."""
-
-    server: "StudyServer"
-    protocol_version = "HTTP/1.1"
-
-    #: Largest chunk read while draining a request body.
-    _DRAIN_CHUNK = 65_536
-
-    def _drain_body(self) -> bool:
-        """Consume the declared request body; ``False`` aborts the request.
-
-        Keep-alive correctness depends on this: the dispatch core ignores
-        request bodies, but an undrained ``POST /admin/reload`` body
-        stays buffered in ``rfile``, and the *next* pipelined request
-        line is then parsed out of the stale body bytes — corrupting
-        every request behind it on the connection.  A malformed
-        ``Content-Length`` or a body the client never finished sending
-        cannot be recovered from mid-stream, so both close the
-        connection (the former after a 400).
-        """
-        raw = self.headers.get("Content-Length")
-        if raw is None:
-            return True
-        try:
-            remaining = int(raw)
-        except ValueError:
-            self.close_connection = True
-            self._respond(400, encode_body(
-                {"error": f"invalid Content-Length: {raw!r}"}
-            ))
-            return False
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, self._DRAIN_CHUNK))
-            if not chunk:  # client vanished mid-body
-                self.close_connection = True
-                return False
-            remaining -= len(chunk)
-        return True
-
-    def _respond(self, status: int, payload: bytes) -> None:
-        """Write one complete response (status line, headers, body)."""
-        self.send_response(status)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _serve(self) -> None:
-        try:
-            if not self._drain_body():
-                return
-            status, payload = self.server.app.dispatch(self.command, self.path)
-            self._respond(status, payload)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-request or mid-write.  That is its
-            # prerogative, not a server fault: count it and close the
-            # connection instead of spraying a handler-thread traceback.
-            self.server.app.metrics.counter("serving.client_disconnects")
-            self.close_connection = True
-
-    def handle(self) -> None:
-        """Serve the connection, absorbing client-initiated resets.
-
-        A reset can also arrive while the stdlib machinery is reading the
-        *next* request line of a keep-alive connection — outside
-        :meth:`_serve` — where it would otherwise bubble into
-        ``socketserver.handle_error``'s stderr traceback.
-        """
-        try:
-            super().handle()
-        except (BrokenPipeError, ConnectionResetError):
-            self.server.app.metrics.counter("serving.client_disconnects")
-            self.close_connection = True
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib hook name
-        """Serve a GET request."""
-        self._serve()
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib hook name
-        """Serve a POST request (``/admin/reload``)."""
-        self._serve()
-
-    def log_message(self, format: str, *args: object) -> None:
-        """Silence per-request stderr logging; ``/metrics`` replaces it."""
-
-
-class StudyServer(ThreadingHTTPServer):
-    """The study snapshot server: one thread per connection, shared app.
-
-    Thread-per-connection is the right shape here because every data
-    request is a dictionary read off an immutable snapshot — handlers
-    hold no locks, so threads never convoy.  The only blocking path is a
-    cold ``/reverse`` cell, and single-flight bounds that to one backend
-    call per distinct cell.
-
-    Args:
-        app: The request core.
-        host: Bind address.
-        port: TCP port; ``0`` picks a free one (see :attr:`port`).
-    """
-
-    daemon_threads = True
-
-    def __init__(self, app: ServingApp, host: str = "127.0.0.1", port: int = 8080):
-        self.app = app
-        super().__init__((host, port), _RequestHandler)
-
-    @property
-    def port(self) -> int:
-        """The actually-bound port (useful after binding port 0)."""
-        return self.server_address[1]
 
 
 def install_reload_signal(app: ServingApp) -> bool:

@@ -106,7 +106,11 @@ class TestExecutor:
         with ShardedExecutor(shards=2, backend="process") as executor:
             first = executor.run_shards(list(range(4)), _chunk_pid)
             second = executor.run_shards(list(range(4)), _chunk_pid)
-        assert {r[1] for r in first.results} == {r[1] for r in second.results}
+        # Which worker takes which chunk is up to the scheduler (one idle
+        # worker may take both), so the per-call pid sets may differ; a
+        # reused pool never shows more pids than it has workers.
+        pids = {r[1] for r in first.results} | {r[1] for r in second.results}
+        assert len(pids) <= executor.max_workers
 
     def test_close_is_idempotent(self):
         executor = ShardedExecutor(shards=2, backend="process")

@@ -3,7 +3,7 @@
 Subprocess replicas (the production path) cost ~2s each to boot, so most
 fleet tests run against *in-process* replicas instead: a real
 :class:`~repro.serving.http.ServingApp` on a real
-:class:`~repro.serving.aio.ThreadedServerHandle` socket, whose
+:class:`~repro.serving.aio.AsyncServerThread` socket, whose
 ``snapshot_loader`` resolves opaque version keys (``"v1"``, ``"v2"``)
 from a dict instead of reading disk.  The publisher and controller do
 not care — a "path" is just the string replicas are told to load — so
@@ -24,7 +24,7 @@ from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import DirectBackend
 from repro.geocode.service import GeocodeService
 from repro.serving import ServingApp, ServingSnapshot, SnapshotStore
-from repro.serving.aio import ThreadedServerHandle
+from repro.serving.aio import AsyncServerThread
 from repro.serving.http import DATA_ENDPOINTS
 from urllib.parse import urlsplit
 
@@ -70,7 +70,7 @@ class FaultInjector:
 
 
 class InProcessReplica:
-    """One in-process replica: app + threaded server + fleet target."""
+    """One in-process replica: app + asyncio server + fleet target."""
 
     def __init__(
         self,
@@ -99,7 +99,7 @@ class InProcessReplica:
         mounted = self.app if fault is None else fault
         if fault is not None:
             fault.app = self.app
-        self.server = ThreadedServerHandle(mounted).start()
+        self.server = AsyncServerThread(mounted).start()
         self.target = ReplicaTarget(replica_id, "127.0.0.1", self.server.port)
 
     @property
@@ -107,10 +107,9 @@ class InProcessReplica:
         return self.server.port
 
     def kill(self) -> None:
-        """Simulate process death: stop the server AND drop pooled
-        keep-alive connections (a dead process closes its sockets; the
-        in-process server's lingering handler threads would otherwise
-        keep serving the old pool)."""
+        """Simulate process death: stop the server (which closes its open
+        connections, as a dead process would) AND drop the front's pooled
+        keep-alive connections to it."""
         port = self.server.port
         self.server.shutdown()
         self.target.rebind(port)

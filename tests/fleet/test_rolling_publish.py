@@ -9,8 +9,7 @@ while the rest serve v1, the promote fan-out flips replicas one at a
 time, and the front's retries stitch it all together; none of that may
 ever be visible in response bytes.
 
-Runs on both seed datasets (each takes a turn as the outgoing version)
-and both front transports.
+Runs on both seed datasets (each takes a turn as the outgoing version).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.fleet import (
     RolloutConfig,
     SnapshotPublisher,
 )
-from repro.serving import ServingSnapshot, start_background_server
+from repro.serving import AsyncServerThread, ServingSnapshot
 from tests.serving.test_parity import _make_app
 from tests.serving.wire import WireClient
 
@@ -49,12 +48,10 @@ def _corpus(v1: ServingSnapshot, v2: ServingSnapshot) -> list[tuple[str, str]]:
     return corpus
 
 
-@pytest.mark.parametrize("transport", ["thread", "asyncio"])
 @pytest.mark.parametrize("base", ["korean", "ladygaga"])
 class TestRollingPublish:
     def test_every_response_matches_one_of_the_two_versions(
-        self, small_ctx, korean_snapshot, ladygaga_snapshot, base, transport,
-        make_fleet,
+        self, small_ctx, korean_snapshot, ladygaga_snapshot, base, make_fleet,
     ):
         v1, v2 = (
             (korean_snapshot, ladygaga_snapshot)
@@ -83,7 +80,7 @@ class TestRollingPublish:
             config=RolloutConfig(min_shadow_samples=5, shadow_timeout_s=20.0),
             metrics=front.metrics,
         )
-        server = start_background_server(front, transport)
+        server = AsyncServerThread(front).start()
         stop = threading.Event()
         failures: list[str] = []
         passes = [0] * _CLIENTS

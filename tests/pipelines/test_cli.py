@@ -252,14 +252,14 @@ class TestServe:
         self, capsys, tmp_path, monkeypatch
     ):
         """`repro serve` loads the saved study, binds, prints the banner,
-        and exits cleanly once serve_forever returns."""
-        from repro.serving import StudyServer
+        and exits cleanly once the server thread is done."""
+        from repro.serving import AsyncServerThread
 
         saved = tmp_path / "study.json"
         assert main(["study", "--dataset", "korean",
                      "--save", str(saved), *FAST]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(StudyServer, "serve_forever", lambda self: None)
+        monkeypatch.setattr(AsyncServerThread, "join", lambda self: None)
         code = main(["serve", "--snapshot", str(saved), "--port", "0",
                      "--rate", "100", "--burst", "5"])
         assert code == 0
@@ -268,6 +268,30 @@ class TestServe:
         assert "snapshot version" in out
         assert "/lookup" in out and "/admin/reload" in out
         assert "admission: 100.0/s sustained, burst 5" in out
+        assert "reload: POST /admin/reload" in out
+
+    def test_transport_flags_accept_only_asyncio(self, capsys):
+        """`--server`/`--replica-server` stay for existing command lines;
+        asyncio is their only value."""
+        parser = build_parser()
+        assert parser.parse_args(
+            ["serve", "--snapshot", "s.json", "--server", "asyncio"]
+        ).server == "asyncio"
+        assert parser.parse_args(
+            ["fleet", "run", "--snapshot", "s.json",
+             "--server", "asyncio", "--replica-server", "asyncio"]
+        ).replica_server == "asyncio"
+        for argv in (
+            ["serve", "--snapshot", "s.json", "--server", "thread"],
+            ["live", "--server", "thread"],
+            ["fleet", "run", "--snapshot", "s.json", "--replica-server", "thread"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'thread'" in err
+            assert err.count("\n") == 1
 
     def test_serve_missing_snapshot_file_fails_cleanly(self, capsys, tmp_path):
         # Unusable on-disk state at boot is the `stream --resume`
@@ -346,6 +370,91 @@ class TestLive:
         err = capsys.readouterr().err
         assert "error: cannot resume:" in err
         assert "Traceback" not in err
+
+
+class _StubSupervisor:
+    """Stands in for ``ReplicaSupervisor`` so no subprocess is spawned."""
+
+    def __init__(self, snapshot_path, replicas, targets, boot_error=None, **kwargs):
+        self.boot_error = boot_error
+        self.stopped = False
+
+    def start(self):
+        if self.boot_error is not None:
+            raise self.boot_error
+
+    def stop(self):
+        self.stopped = True
+
+    def handles(self):
+        return []
+
+
+class TestBindFailures:
+    """A busy port is one ``error:`` line and exit 1, never a traceback;
+    ``fleet run`` also stops its replicas."""
+
+    @pytest.fixture
+    def busy_port(self):
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            yield holder.getsockname()[1]
+
+    def _assert_bind_error(self, capsys, code, port):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_serve_busy_port(self, capsys, tmp_path, busy_port):
+        saved = tmp_path / "study.json"
+        assert main(["study", "--dataset", "korean",
+                     "--save", str(saved), *FAST]) == 0
+        capsys.readouterr()
+        code = main(["serve", "--snapshot", str(saved), "--port", str(busy_port)])
+        self._assert_bind_error(capsys, code, busy_port)
+
+    def test_live_busy_port(self, capsys, tmp_path, busy_port):
+        code = main(
+            ["live", "--dataset", "korean", "--port", str(busy_port),
+             "--state-dir", str(tmp_path / "state"),
+             "--on-exhausted", "exit", *FAST]
+        )
+        self._assert_bind_error(capsys, code, busy_port)
+
+    def _stub_supervisors(self, monkeypatch, boot_error=None):
+        import repro.cli as cli_module
+
+        built: list[_StubSupervisor] = []
+
+        def factory(*args, **kwargs):
+            built.append(_StubSupervisor(*args, boot_error=boot_error, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "ReplicaSupervisor", factory)
+        return built
+
+    def test_fleet_run_busy_port_stops_the_replicas(
+        self, capsys, monkeypatch, busy_port
+    ):
+        built = self._stub_supervisors(monkeypatch)
+        code = main(["fleet", "run", "--snapshot", "unused.json",
+                     "--replicas", "2", "--port", str(busy_port)])
+        self._assert_bind_error(capsys, code, busy_port)
+        assert [supervisor.stopped for supervisor in built] == [True]
+
+    def test_fleet_run_interrupted_during_boot_stops_the_replicas(
+        self, capsys, monkeypatch
+    ):
+        built = self._stub_supervisors(monkeypatch, boot_error=KeyboardInterrupt())
+        code = main(["fleet", "run", "--snapshot", "unused.json", "--port", "0"])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert [supervisor.stopped for supervisor in built] == [True]
 
 
 class TestStream:

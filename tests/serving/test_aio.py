@@ -12,12 +12,7 @@ import pytest
 from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import DirectBackend
 from repro.geocode.service import GeocodeService
-from repro.serving import (
-    AsyncServerThread,
-    ServingApp,
-    SnapshotStore,
-    start_background_server,
-)
+from repro.serving import AsyncServerThread, ServingApp, SnapshotStore
 from tests.serving.wire import WireClient, request_bytes
 
 
@@ -319,13 +314,13 @@ class TestLifecycle:
         finally:
             holder.shutdown()
 
-    def test_start_background_server_factory(self, make_app):
-        for kind in ("thread", "asyncio"):
-            server = start_background_server(make_app(), kind)
-            try:
-                with WireClient(server.port) as client:
-                    assert client.get("/healthz")[0] == 200
-            finally:
-                server.shutdown()
-        with pytest.raises(ValueError):
-            start_background_server(make_app(), "gevent")
+    def test_start_returns_the_serving_harness(self, make_app):
+        """``start()`` returns ``self`` bound and serving, so callers
+        one-line construction + start."""
+        server = AsyncServerThread(make_app())
+        try:
+            assert server.start() is server
+            with WireClient(server.port) as client:
+                assert client.get("/healthz")[0] == 200
+        finally:
+            server.shutdown()

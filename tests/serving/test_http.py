@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.errors import StorageError
-from repro.serving import StudyServer, TokenBucket, encode_body
+from repro.serving import AsyncServerThread, TokenBucket, encode_body
 from tests.serving.test_ratelimit import FakeClock
 
 
@@ -198,18 +198,13 @@ class TestReload:
 class TestHttpServer:
     @pytest.fixture
     def server(self, make_app, korean_snapshot, ladygaga_snapshot):
-        app = make_app(reloader=lambda: ladygaga_snapshot)
-        server = StudyServer(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncServerThread(make_app(reloader=lambda: ladygaga_snapshot))
         try:
-            yield server
+            yield server.start()
         finally:
             server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
 
-    def _get(self, server: StudyServer, path: str) -> tuple[int, dict]:
+    def _get(self, server: AsyncServerThread, path: str) -> tuple[int, dict]:
         url = f"http://127.0.0.1:{server.port}{path}"
         try:
             with urllib.request.urlopen(url) as response:
@@ -274,10 +269,7 @@ class TestInternalErrors:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(http_module.handlers, "handle_stats", broken)
-        app = make_app()
-        server = StudyServer(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncServerThread(make_app()).start()
         try:
             with WireClient(server.port) as client:
                 status, body = client.get("/stats")
@@ -288,8 +280,6 @@ class TestInternalErrors:
                 assert json.loads(body)["status"] == "ok"
         finally:
             server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
 
 
 class TestKeepAliveBodyDrain:
@@ -298,24 +288,19 @@ class TestKeepAliveBodyDrain:
 
     @pytest.fixture
     def server(self, make_app, ladygaga_snapshot):
-        app = make_app(reloader=lambda: ladygaga_snapshot)
-        server = StudyServer(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncServerThread(make_app(reloader=lambda: ladygaga_snapshot))
         try:
-            yield server
+            yield server.start()
         finally:
             server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
 
     def test_pipelined_request_after_post_body(self, server, ladygaga_snapshot):
         """Two requests in one write: a POST with a body, then a GET.
 
-        Before the fix the body bytes stayed buffered in ``rfile`` and
-        were parsed as the second request's request line, corrupting the
-        connection; both responses must now come back well-formed and
-        the second must really be the ``/healthz`` answer.
+        Undrained body bytes would be parsed as the second request's
+        request line, corrupting the connection; both responses must come
+        back well-formed and the second must really be the ``/healthz``
+        answer.
         """
         from tests.serving.wire import WireClient, request_bytes
 
@@ -371,9 +356,7 @@ class TestClientDisconnects:
             return inner(method, target)
 
         app.dispatch = gated_dispatch
-        server = StudyServer(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncServerThread(app).start()
         try:
             client = WireClient(server.port)
             client.send("GET", "/regions")
@@ -388,8 +371,6 @@ class TestClientDisconnects:
         finally:
             gate.set()
             server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
 
 
 class TestDispatchBlocks:

@@ -1,14 +1,15 @@
-"""Cross-server parity: the threaded and asyncio front doors are
-byte-identical observationally.
+"""Conformance of the asyncio front door: wire bytes equal in-process
+dispatch bytes.
 
-Both servers mount the same ``ServingApp.dispatch``, so equal bodies are
+The server mounts ``ServingApp.dispatch`` unchanged, so equal bodies are
 structural, not coincidental — these tests pin the property anyway, at
-the wire: identical request sequences driven through a real
-:class:`StudyServer` and a real :class:`AsyncStudyServer` must produce
-byte-identical ``(status, body)`` pairs on both seed datasets, and under
-concurrent hot-swaps every response must be byte-identical to what *one*
-of the two live snapshot versions answers (the PR 5 allowed-set check,
-generalised across transports).
+the wire: a request corpus covering every endpoint, happy and sad
+paths, driven down one keep-alive connection to a real
+:class:`AsyncStudyServer` must produce ``(status, body)`` pairs
+byte-identical to an in-process :meth:`ServingApp.dispatch` over the
+same snapshot, on both seed datasets.  Under concurrent hot-swaps every
+response must be byte-identical to what *one* of the two live snapshot
+versions answers (the allowed-set check).
 
 ``/metrics`` is excluded from byte comparison (latency percentiles are
 inherently timing-dependent) and asserted shape-only; ``/healthz`` is
@@ -30,7 +31,6 @@ from repro.serving import (
     ServingApp,
     ServingSnapshot,
     SnapshotStore,
-    ThreadedServerHandle,
 )
 from tests.serving.test_ratelimit import FakeClock
 from tests.serving.wire import WireClient
@@ -111,46 +111,31 @@ class TestByteParity:
         reference = _make_app(small_ctx, dataset, snapshot)
         expected = [reference.dispatch(m, t) for m, t in corpus]
 
-        threaded = ThreadedServerHandle(
-            _make_app(small_ctx, dataset, snapshot)
-        ).start()
-        aio = AsyncServerThread(_make_app(small_ctx, dataset, snapshot)).start()
+        server = AsyncServerThread(_make_app(small_ctx, dataset, snapshot)).start()
         try:
-            got_threaded = _drive(threaded.port, corpus)
-            got_aio = _drive(aio.port, corpus)
+            got = _drive(server.port, corpus)
         finally:
-            threaded.shutdown()
-            aio.shutdown()
+            server.shutdown()
 
-        for (method, target), want, thread_got, aio_got in zip(
-            corpus, expected, got_threaded, got_aio
-        ):
-            assert thread_got == want, f"threaded differs on {method} {target}"
-            assert aio_got == want, f"asyncio differs on {method} {target}"
+        for (method, target), want, wire in zip(corpus, expected, got):
+            assert wire == want, f"wire differs from dispatch on {method} {target}"
 
     def test_metrics_endpoint_shape_parity(self, small_ctx, dataset):
-        """``/metrics`` bodies are timing-dependent; parity here is
+        """``/metrics`` bodies are timing-dependent; conformance here is
         status + top-level shape, not bytes."""
         import json
 
         snapshot = ServingSnapshot.from_study(_study(small_ctx, dataset))
-        threaded = ThreadedServerHandle(
-            _make_app(small_ctx, dataset, snapshot)
-        ).start()
-        aio = AsyncServerThread(_make_app(small_ctx, dataset, snapshot)).start()
+        server = AsyncServerThread(_make_app(small_ctx, dataset, snapshot)).start()
         try:
-            bodies = {}
-            for name, server in (("threaded", threaded), ("asyncio", aio)):
-                with WireClient(server.port) as client:
-                    status, body = client.get("/metrics")
-                assert status == 200
-                bodies[name] = json.loads(body)["metrics"]
+            with WireClient(server.port) as client:
+                status, body = client.get("/metrics")
         finally:
-            threaded.shutdown()
-            aio.shutdown()
-        for metrics in bodies.values():
-            assert metrics["serving.requests"] == 1
-            assert metrics["serving.snapshot.generation"] == 1
+            server.shutdown()
+        assert status == 200
+        metrics = json.loads(body)["metrics"]
+        assert metrics["serving.requests"] == 1
+        assert metrics["serving.snapshot.generation"] == 1
 
 
 #: Snapshot-backed endpoints whose bodies are pure functions of the live
@@ -161,69 +146,67 @@ _SWAP_TARGETS_LIMIT = 12
 _SWAP_COUNT = 40
 
 
+@pytest.mark.parametrize("base", ["korean", "ladygaga"])
 class TestHotSwapParity:
     def test_responses_under_concurrent_swaps_match_an_allowed_version(
-        self, small_ctx, korean_snapshot, ladygaga_snapshot
+        self, small_ctx, korean_snapshot, ladygaga_snapshot, base
     ):
-        """While both servers' stores hot-swap between the two dataset
+        """While the server's store hot-swaps between the two dataset
         snapshots, every wire response must be byte-identical to the
         dispatch answer of *one* of the two versions — a torn or mixed
-        body matches neither."""
+        body matches neither.  Each dataset takes a turn as the boot
+        version (and supplies the corpus)."""
+        v1, v2 = (
+            (korean_snapshot, ladygaga_snapshot)
+            if base == "korean"
+            else (ladygaga_snapshot, korean_snapshot)
+        )
         corpus = [
             (m, t)
-            for m, t in _request_corpus(small_ctx, "korean", korean_snapshot)
+            for m, t in _request_corpus(small_ctx, base, v1)
             if m == "GET"
             and not t.startswith("/reverse")  # geocode: not snapshot-backed
             and t not in ("/metrics", "/healthz", "/healthz/")  # generation-dependent
         ][:_SWAP_TARGETS_LIMIT]
 
-        ref_korean = _make_app(small_ctx, "korean", korean_snapshot)
-        ref_ladygaga = _make_app(small_ctx, "korean", ladygaga_snapshot)
+        ref_v1 = _make_app(small_ctx, base, v1)
+        ref_v2 = _make_app(small_ctx, base, v2)
         allowed = {
             target: {
-                ref_korean.dispatch(method, target),
-                ref_ladygaga.dispatch(method, target),
+                ref_v1.dispatch(method, target),
+                ref_v2.dispatch(method, target),
             }
             for method, target in corpus
         }
 
-        servers = {
-            "threaded": ThreadedServerHandle(
-                _make_app(small_ctx, "korean", korean_snapshot)
-            ).start(),
-            "asyncio": AsyncServerThread(
-                _make_app(small_ctx, "korean", korean_snapshot)
-            ).start(),
-        }
+        server = AsyncServerThread(_make_app(small_ctx, base, v1)).start()
         stop_swapping = threading.Event()
 
         def swapper():
-            flip = [ladygaga_snapshot, korean_snapshot]
+            flip = [v2, v1]
             for i in range(_SWAP_COUNT):
                 if stop_swapping.is_set():
                     return
-                for server in servers.values():
-                    server.app.store.swap(flip[i % 2])
+                server.app.store.swap(flip[i % 2])
 
         failures: list[str] = []
 
-        def client_worker(name: str, port: int):
+        def client_worker(index: int):
             try:
                 for _ in range(3):
-                    for (method, target), got in zip(corpus, _drive(port, corpus)):
+                    for (method, target), got in zip(corpus, _drive(server.port, corpus)):
                         if got not in allowed[target]:
                             failures.append(
-                                f"{name}: {method} {target} answered a body "
-                                "matching neither snapshot version"
+                                f"client {index}: {method} {target} answered a "
+                                "body matching neither snapshot version"
                             )
             except Exception as exc:  # surfaced after join
-                failures.append(f"{name}: client error: {exc!r}")
+                failures.append(f"client {index}: error: {exc!r}")
 
         swap_thread = threading.Thread(target=swapper)
         workers = [
-            threading.Thread(target=client_worker, args=(name, server.port))
-            for name, server in servers.items()
-            for _ in range(2)
+            threading.Thread(target=client_worker, args=(index,))
+            for index in range(4)
         ]
         try:
             for worker in workers:
@@ -235,6 +218,5 @@ class TestHotSwapParity:
             swap_thread.join(timeout=10.0)
         finally:
             stop_swapping.set()
-            for server in servers.values():
-                server.shutdown()
+            server.shutdown()
         assert not failures, failures[:5]
