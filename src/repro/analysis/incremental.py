@@ -13,14 +13,11 @@ per-user state:
 * GPS tweets of well-defined users are reverse-geocoded through the
   tiered :class:`~repro.geocode.service.GeocodeService` — one resolution
   per 0.001° cell, at the cell's canonical representative point;
-* observations feed a grouper — by default the
-  :class:`~repro.columnar.grouping.ColumnarGrouper`, which folds rows
-  into per-user counters of *interned ids* (no record objects or string
-  hashing on the fold path; ``columnar=False`` restores the
-  record-keyed :class:`~repro.grouping.incremental.IncrementalGrouper`)
-  — and only the users *touched by the batch* are re-classified — the
-  per-group tallies update by group-transition deltas rather than a
-  full recount.
+* observations feed a :class:`~repro.columnar.grouping.ColumnarGrouper`,
+  which folds rows into per-user counters of *interned ids* (no record
+  objects or string hashing on the fold path), and only the users
+  *touched by the batch* are re-classified — the per-group tallies
+  update by group-transition deltas rather than a full recount.
 
 Because a cell's outcome is a pure function of the cell key (see
 :mod:`repro.geocode.service`), fold-time resolutions are *already* the
@@ -54,7 +51,6 @@ from repro.geo.reverse import ReverseGeocoder
 from repro.geocode.backend import PlaceFinderBackend
 from repro.geocode.cellstore import Cell
 from repro.geocode.service import GeocodeService, cell_cache_path, simulated_latency
-from repro.grouping.incremental import IncrementalGrouper
 from repro.grouping.merge import TieBreak
 from repro.grouping.stats import compute_group_statistics, empty_group_statistics
 from repro.grouping.topk import TopKGroup, UserGrouping
@@ -90,10 +86,6 @@ class IncrementalStudyAccumulator:
             already-resolved cells.
         geocode: Inject a pre-built service instead (overrides
             ``cache_dir``).
-        columnar: Fold observations into interned-id columnar counters
-            (the default); ``False`` keeps the record-keyed incremental
-            grouper.  Classification output, export counters, and
-            checkpoint digests are identical either way.
 
     Raises:
         ConfigurationError: for ``min_gps_tweets != 1``.
@@ -107,7 +99,6 @@ class IncrementalStudyAccumulator:
         min_gps_tweets: int = 1,
         cache_dir: str | Path | None = None,
         geocode: GeocodeService | None = None,
-        columnar: bool = True,
     ):
         if min_gps_tweets != 1:
             raise ConfigurationError(
@@ -133,9 +124,7 @@ class IncrementalStudyAccumulator:
                 cache_path=cache_path,
             )
         self._geocode = geocode
-        self._grouper: ColumnarGrouper | IncrementalGrouper = (
-            ColumnarGrouper(tie_break) if columnar else IncrementalGrouper(tie_break)
-        )
+        self._grouper = ColumnarGrouper(tie_break)
 
         # Per-user state, keyed by user id.
         self._profile_status: dict[int, str] = {}
@@ -358,7 +347,7 @@ class IncrementalStudyAccumulator:
 
     # ------------------------------------------------------------------ views
     @property
-    def grouper(self) -> ColumnarGrouper | IncrementalGrouper:
+    def grouper(self) -> ColumnarGrouper:
         """The underlying grouper (checkpoint digests hash its export)."""
         return self._grouper
 

@@ -114,8 +114,15 @@ def study_digest(study: StudyResult) -> str:
 
 
 def save_study(study: StudyResult, path: str | Path) -> None:
-    """Write a study result to ``path`` as JSON (see :func:`study_to_json`)."""
-    Path(path).write_text(study_to_json(study), encoding="utf-8")
+    """Write a study result to ``path`` as JSON (see :func:`study_to_json`).
+
+    Raises:
+        StorageError: if the file cannot be written.
+    """
+    try:
+        Path(path).write_text(study_to_json(study), encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot write study to {path}: {exc}") from exc
 
 
 def load_study(path: str | Path, gazetteer: GazetteerBackend) -> StudyResult:

@@ -1,18 +1,17 @@
-"""Columnar raw-speed core: interned ids, packed columns, shared buffers.
+"""Columnar raw-speed core: interned ids, packed columns, mapped files.
 
-The study's hot paths — grouping, sharding, streaming folds, serving
-lookups — all shuffle the same few thousand location strings through
-object graphs.  This package gives every layer one alternative
-representation: a :class:`StringInterner` turns each string into a
-stable dense integer once, :class:`MatchColumns` stores match records as
-parallel int64 columns over that table, and :mod:`repro.columnar.share`
-lays those columns out in a single mappable file so the process backend
-ships row *ranges* instead of pickled shards.
+The study's hot paths — grouping, streaming folds, serving lookups — all
+shuffle the same few thousand location strings.  This package gives
+every layer one representation: a :class:`StringInterner` turns each
+string into a stable dense integer once, :class:`MatchColumns` stores
+match records as parallel int64 columns over that table, and
+:mod:`repro.columnar.share` lays columns out in a single mappable file.
 
 Grouping over this representation (:func:`columnar_group_users`) is an
-integer sort plus run-length count, property-tested byte-identical to
-the dict path; :mod:`repro.columnar.storage` persists whole studies in
-the same flat form for zero-parse serving reloads.
+integer sort plus run-length count, property-tested equal to the
+paper's reference method (:func:`~repro.grouping.topk.group_users`);
+:mod:`repro.columnar.storage` persists whole studies in the same flat
+form for zero-parse serving reloads.
 
 Exports resolve lazily (PEP 562): the base grouping modules import
 :mod:`repro.columnar.keys` at module load, so the package body must not
@@ -29,14 +28,10 @@ _EXPORTS = {
     "DELIMITER": "repro.columnar.keys",
     "MAGIC": "repro.columnar.share",
     "MatchColumns": "repro.columnar.records",
-    "PACKED_FIELDS": "repro.columnar.grouping",
-    "ShardSlice": "repro.columnar.share",
     "StringInterner": "repro.columnar.interner",
     "StringTable": "repro.columnar.share",
     "TYPECODE": "repro.columnar.records",
     "columnar_group_users": "repro.columnar.grouping",
-    "concat_packed": "repro.columnar.grouping",
-    "group_slices_shard": "repro.columnar.grouping",
     "groupings_from_packed": "repro.columnar.grouping",
     "is_columnar_study": "repro.columnar.storage",
     "load_study_columnar": "repro.columnar.storage",

@@ -1,20 +1,22 @@
 """Grouping over interned columns: integer sort + run-length counting.
 
-The dict path builds one :class:`~repro.grouping.strings.LocationString`
-object per tweet and counts them in per-user ``Counter`` dicts — object
-construction, field validation, and string hashing on every row.  The
-columnar path packs each row's five interned ids into a single integer,
-sorts the packed keys, and run-length counts the sorted runs; only the
-*distinct* merged rows (orders of magnitude fewer than tweets on real
-data) are ever materialised back into objects for the final, paper-exact
+The paper's reference method (:func:`~repro.grouping.topk.group_users`,
+kept as the test oracle) builds one
+:class:`~repro.grouping.strings.LocationString` object per tweet and
+counts them in per-user ``Counter`` dicts — object construction, field
+validation, and string hashing on every row.  The columnar path packs
+each row's five interned ids into a single integer, sorts the packed
+keys, and run-length counts the sorted runs; only the *distinct* merged
+rows (orders of magnitude fewer than tweets on real data) are ever
+materialised back into objects for the final, paper-exact
 :class:`~repro.grouping.topk.UserGrouping`.
 
 Byte-identity with :func:`~repro.grouping.topk.group_users` is a theorem
 of two facts, both property-tested:
 
 * user output order — packed keys lead with each user's *first-encounter
-  index*, so the sorted runs visit users in exactly the order the dict
-  path's insertion-ordered ``per_user`` dict does;
+  index*, so the sorted runs visit users in exactly the order the
+  reference method's insertion-ordered ``per_user`` dict does;
 * row order — distinct rows are sorted with the shared
   :func:`~repro.columnar.keys.merged_sort_key`, a total order (rendered
   strings are unique per user), so counting order cannot leak through.
@@ -32,22 +34,18 @@ from collections import Counter, defaultdict
 from repro.columnar.interner import StringInterner
 from repro.columnar.keys import merged_sort_key
 from repro.columnar.records import MatchColumns
-from repro.columnar.share import BufferReader, ShardSlice
 from repro.errors import InsufficientDataError
 from repro.grouping.merge import MergedString, TieBreak
 from repro.grouping.strings import LocationString
 from repro.grouping.topk import UserGrouping, classify_rows
 
 
-def merged_rows_packed(
-    columns: MatchColumns, start: int = 0, stop: int | None = None
-) -> dict[str, array]:
-    """Merge one row range into packed result columns (the worker half).
+def merged_rows_packed(columns: MatchColumns) -> dict[str, array]:
+    """Merge a columnar batch into packed result columns.
 
     Sorts the packed ``(user-order, profile, tweet)`` integer keys of
-    ``[start, stop)`` and run-length counts them.  The result is five
-    fixed-width columns plus two per-user columns — exactly what a shard
-    worker sends back to the parent instead of pickled object graphs:
+    every row and run-length counts them.  The result is five
+    fixed-width columns plus two per-user columns:
 
     * ``user_ids`` / ``rows_per_user`` — one entry per user, in
       first-encounter order;
@@ -58,32 +56,24 @@ def merged_rows_packed(
       live; see :func:`groupings_from_packed`).
 
     Within a user the distinct rows appear in packed-integer order —
-    deterministic, but not the paper's ordering; the parent applies the
-    tie-break sort when it materialises strings.
+    deterministic, but not the paper's ordering; the tie-break sort is
+    applied when the strings are materialised.
     """
-    stop = len(columns) if stop is None else stop
-    user_ids = columns.user_ids
-    profile_states = columns.profile_states
-    profile_counties = columns.profile_counties
-    tweet_states = columns.tweet_states
-    tweet_counties = columns.tweet_counties
-
-    # Dense first-encounter index per user keeps the output in the dict
-    # path's insertion order while letting one global integer sort group
-    # every user's rows together.  Iterating zipped column slices (cheap
-    # views for mapped columns, one C-level copy for owned arrays) beats
-    # five indexed reads per row by a wide margin.
+    # Dense first-encounter index per user keeps the output in the
+    # reference method's insertion order while letting one global integer
+    # sort group every user's rows together.  Iterating zipped columns
+    # beats five indexed reads per row by a wide margin.
     order: dict[int, int] = {}
     order_get = order.get
     base = len(columns.interner) + 1
     packed: list[int] = []
     append = packed.append
     for user_id, ps, pc, ts, tc in zip(
-        user_ids[start:stop],
-        profile_states[start:stop],
-        profile_counties[start:stop],
-        tweet_states[start:stop],
-        tweet_counties[start:stop],
+        columns.user_ids,
+        columns.profile_states,
+        columns.profile_counties,
+        columns.tweet_states,
+        columns.tweet_counties,
     ):
         seq = order_get(user_id)
         if seq is None:
@@ -155,58 +145,6 @@ def merged_rows_packed(
     }
 
 
-#: The column names a packed merged-rows dict carries, in merge order.
-PACKED_FIELDS = (
-    "user_ids",
-    "rows_per_user",
-    "profile_states",
-    "profile_counties",
-    "tweet_states",
-    "tweet_counties",
-    "counts",
-)
-
-
-def concat_packed(parts: list[dict[str, array]]) -> dict[str, array]:
-    """Concatenate packed merged columns in shard order.
-
-    Shard slices never split a user, so concatenation preserves both
-    user uniqueness and first-encounter order — the parent's merge step
-    is seven ``array.extend`` calls, not an object-graph walk.
-    """
-    merged: dict[str, array] = {name: array("q") for name in PACKED_FIELDS}
-    for part in parts:
-        for name in PACKED_FIELDS:
-            merged[name].extend(part[name])
-    return merged
-
-
-def group_slices_shard(
-    slices: list[ShardSlice], payload: object
-) -> dict[str, array]:
-    """Shard worker: merge row slices of a mapped column buffer.
-
-    The mmap counterpart of the engine's pickled-chunk grouping worker:
-    the chunk is a list of :class:`~repro.columnar.share.ShardSlice` row
-    ranges and the payload is the buffer file's path — the worker maps
-    the file (zero-copy, shared page cache across the pool), merges its
-    ranges with :func:`merged_rows_packed`, and returns owned packed
-    arrays, so neither inputs nor results ever pickle an object graph.
-    Module-level so the process backend can pickle it.
-    """
-    (path,) = payload  # type: ignore[misc]
-    live = [item for item in slices if len(item)]
-    if not live:
-        return {name: array("q") for name in PACKED_FIELDS}
-    with BufferReader(path) as reader:
-        columns = MatchColumns.mapped(reader)
-        parts = [
-            merged_rows_packed(columns, item.start, item.stop) for item in live
-        ]
-        del columns
-    return concat_packed(parts) if len(parts) > 1 else parts[0]
-
-
 def groupings_from_packed(
     packed: dict[str, array],
     lookup,
@@ -214,11 +152,11 @@ def groupings_from_packed(
 ) -> dict[int, UserGrouping]:
     """Materialise packed merged columns into per-user groupings.
 
-    The parent half of the sharded protocol: walk the per-user runs,
-    rebuild each distinct row as a :class:`MergedString` via ``lookup``
-    (an interner or lazy string table ``lookup(id) -> str``), order with
-    the shared tie-break key, and classify.  Output dict order follows
-    the packed user order — the dict path's first-encounter order.
+    Walk the per-user runs, rebuild each distinct row as a
+    :class:`MergedString` via ``lookup`` (an interner or lazy string
+    table ``lookup(id) -> str``), order with the shared tie-break key,
+    and classify.  Output dict order follows the packed user order —
+    first-encounter order, as in the reference method.
 
     Pass ``tie_break=None`` to trust the packed row order instead of
     re-sorting — the columnar study loader does this because its rows
@@ -261,7 +199,7 @@ def columnar_group_users(
 
     Drop-in equivalent of :func:`~repro.grouping.topk.group_users` over
     packed columns — identical output, dict order included (property-
-    tested in ``tests/columnar/test_grouping_equivalence.py``).
+    tested in ``tests/columnar/test_grouping.py``).
     """
     packed = merged_rows_packed(columns)
     return groupings_from_packed(packed, columns.interner.lookup, tie_break)

@@ -2,29 +2,24 @@
 
 A :class:`~repro.twitter.models.GeotaggedObservation` is five strings and
 two integers in a Python object; a million of them is a million boxed
-objects that must be pickled field by field to cross a process boundary.
-:class:`MatchColumns` stores the same information as six parallel
-``array('q')`` columns over a :class:`~repro.columnar.interner
-.StringInterner` — user id, interned profile state/county, interned
-tweet state/county, timestamp — so a study's whole observation table is
-a handful of contiguous buffers that can be written to disk once and
-mapped zero-copy by any number of workers
-(:mod:`repro.columnar.share`).
+objects to hash and compare.  :class:`MatchColumns` stores the same
+information as six parallel ``array('q')`` columns over a
+:class:`~repro.columnar.interner.StringInterner` — user id, interned
+profile state/county, interned tweet state/county, timestamp — so the
+grouping stage sorts and counts plain integers
+(:func:`~repro.columnar.grouping.merged_rows_packed`).
 
 Construction preserves row order exactly, and
 :meth:`MatchColumns.to_observations` restores the original objects bit
-for bit, which is what the engine's columnar/dict equivalence property
-tests lean on.
+for bit.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from pathlib import Path
 
 from repro.columnar.interner import StringInterner
-from repro.columnar.share import BufferReader, BufferWriter
 from repro.errors import ConfigurationError
 from repro.twitter.models import GeotaggedObservation
 
@@ -41,10 +36,6 @@ class MatchColumns:
         profile_states / profile_counties: Interned profile district.
         tweet_states / tweet_counties: Interned tweet district.
         timestamps_ms: Posting time per row.
-
-    Columns may be ``array('q')`` (owned) or ``memoryview`` slices cast
-    to int64 (zero-copy views over a mapped buffer) — every consumer
-    indexes and slices them identically.
     """
 
     __slots__ = (
@@ -170,70 +161,3 @@ class MatchColumns:
                 self.timestamps_ms,
             )
         ]
-
-    def write(self, path: str | Path) -> Path:
-        """Lay the batch out as one mappable buffer file.
-
-        Writes the interner table (``interner.*``) and every column
-        (``obs.*``) through :class:`~repro.columnar.share.BufferWriter`;
-        :meth:`mapped` reopens the file as zero-copy views.  Requires an
-        owned batch (the interner must be a real
-        :class:`StringInterner`, not a mapped table).
-        """
-        writer = BufferWriter()
-        writer.add_strings("interner", self.interner.to_lines())
-        writer.add_i64("obs.user_ids", self.user_ids)
-        writer.add_i64("obs.profile_states", self.profile_states)
-        writer.add_i64("obs.profile_counties", self.profile_counties)
-        writer.add_i64("obs.tweet_states", self.tweet_states)
-        writer.add_i64("obs.tweet_counties", self.tweet_counties)
-        writer.add_i64("obs.timestamps_ms", self.timestamps_ms)
-        return writer.write(path)
-
-    @classmethod
-    def mapped(cls, reader: BufferReader) -> "MatchColumns":
-        """Open a :meth:`write` file's columns as zero-copy views.
-
-        The interner slot holds the reader's lazy
-        :class:`~repro.columnar.share.StringTable` — same ``len`` and
-        ``lookup`` surface, strings decoded only on demand — and every
-        column is a ``memoryview`` over the shared mapping, so a worker
-        "receiving" a million-row batch copies nothing.
-        """
-        return cls(
-            reader.strings("interner"),  # type: ignore[arg-type]
-            reader.i64("obs.user_ids"),
-            reader.i64("obs.profile_states"),
-            reader.i64("obs.profile_counties"),
-            reader.i64("obs.tweet_states"),
-            reader.i64("obs.tweet_counties"),
-            reader.i64("obs.timestamps_ms"),
-        )
-
-    def user_slices(self) -> list[tuple[int, int, int]]:
-        """Contiguous per-user row runs: ``(user_id, start, stop)``.
-
-        The engine appends observations user by user, so each user's
-        rows form one contiguous run; this is the unit the sharded
-        grouping path partitions.
-
-        Raises:
-            ConfigurationError: if a user's rows are not contiguous —
-                a batch that did not come from the staged pipeline.
-        """
-        slices: list[tuple[int, int, int]] = []
-        seen: set[int] = set()
-        user_ids = self.user_ids
-        start = 0
-        for index in range(1, len(user_ids) + 1):
-            if index == len(user_ids) or user_ids[index] != user_ids[start]:
-                user_id = user_ids[start]
-                if user_id in seen:
-                    raise ConfigurationError(
-                        f"user {user_id} has non-contiguous rows; columnar "
-                        "sharding requires per-user contiguity"
-                    )
-                seen.add(user_id)
-                slices.append((user_id, start, index))
-                start = index
-        return slices

@@ -1,19 +1,18 @@
-"""Zero-copy buffer sharing: flat sections in one file, mapped by workers.
+"""Flat sections in one mappable file: the columnar artifact envelope.
 
-The process backend used to ship every shard its inputs by pickling
-Python object graphs through the pool's pipe — the overhead that made
-BENCH_parallel *lose* to serial on small boxes.  A :class:`BufferWriter`
-instead lays the shared inputs out once as named sections in a single
-file:
+A :class:`BufferWriter` lays columnar data out once as named sections in
+a single file:
 
 * ``i64`` sections — ``array('q')`` columns written as raw bytes;
 * ``f64`` sections — ``array('d')`` columns (centroid/polygon coordinates);
 * ``blob`` sections — one UTF-8 byte blob (string tables, JSON headers).
 
-Workers open the file with :class:`BufferReader`, which ``mmap``\\ s it
+Readers open the file with :class:`BufferReader`, which ``mmap``\\ s it
 read-only and hands back :class:`memoryview` slices — ``.cast('q')`` for
-int64 columns — so N workers share one page cache copy of the data and a
-shard's "payload" over the pipe shrinks to a path plus a row range.
+int64 columns — so every process that opens the file shares one page
+cache copy of the data.  The ``.cstudy`` study artifact
+(:mod:`repro.columnar.storage`) and the ``RGAZ1`` gazetteer artifact
+(:mod:`repro.geodata.artifact`) are both section sets in this envelope.
 
 The layout is deliberately boring::
 
@@ -21,8 +20,8 @@ The layout is deliberately boring::
     | section bytes (each 8-byte aligned) ...
 
 The header records byte order; :class:`BufferReader` refuses a file
-written on a machine with a different one (these are same-host temp
-files and local artifacts, not portable archives).
+written on a machine with a different one (these are local artifacts,
+not portable archives).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import json
 import mmap
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StorageError
@@ -44,21 +42,6 @@ _ALIGN = 8
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-@dataclass(frozen=True, slots=True)
-class ShardSlice:
-    """One shard's half-open row range into a shared buffer file.
-
-    This — not a pickled chunk of objects — is what travels to a worker:
-    the worker maps the buffer and reads only ``[start, stop)``.
-    """
-
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
 
 class BufferWriter:

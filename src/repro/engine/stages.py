@@ -11,7 +11,7 @@ shared :class:`StudyState` under a
 3. :class:`ReverseGeocodeStage` — the per-tweet PlaceFinder hot path,
    shardable across processes;
 4. :class:`GroupingStage` — the paper's merged-string Top-k method,
-   shardable per user;
+   in-process over interned columns;
 5. :class:`StatisticsStage` — Figs. 6-7 aggregates.
 
 Every stage records a span and reports into the run's metrics registry.
@@ -22,23 +22,16 @@ usage accounting, for any shard count and backend.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from pathlib import Path
 
-from repro.columnar.grouping import (
-    concat_packed,
-    group_slices_shard,
-    groupings_from_packed,
-    merged_rows_packed,
-)
+from repro.columnar.grouping import columnar_group_users
 from repro.columnar.records import MatchColumns
-from repro.columnar.share import ShardSlice
 from repro.datasets.refine import RefinementFunnel
 from repro.engine.context import RunContext
-from repro.engine.sharding import ShardedExecutor, ShardRunReport, partition
+from repro.engine.sharding import ShardedExecutor, ShardRunReport
 from repro.errors import ConfigurationError
 from repro.geo.forward import GeocodeStatus, TextGeocoder
 from repro.geo.gazetteer import GazetteerBackend
@@ -54,7 +47,7 @@ from repro.geocode.service import (
 from repro.geocode.backend import PlaceFinderBackend
 from repro.grouping.merge import TieBreak
 from repro.grouping.stats import GroupStatistics, compute_group_statistics
-from repro.grouping.topk import UserGrouping, group_users
+from repro.grouping.topk import UserGrouping
 from repro.storage.tweetstore import TweetStore
 from repro.storage.userstore import UserStore
 from repro.twitter.models import GeotaggedObservation, Tweet, TwitterUser
@@ -87,14 +80,9 @@ class StudyState:
             reverse geocoding resolves through when no client is injected.
             ``None`` makes the stage build a memory-only service; the
             engine supplies one so warm tiers persist across runs.
-        executor: Shard plan for the hot-path stages.
+        executor: Shard plan for the reverse-geocode stage.
         min_gps_tweets: Study-entry threshold (paper: 1).
         tie_break: Equal-count ordering policy for the grouping method.
-        columnar: Run the grouping stage over interned columnar batches
-            (integer sort + run-length counting; sharded runs ship
-            mmap'd buffers instead of pickled chunks).  Byte-identical
-            to the dict path — this is the transition escape hatch, not
-            a semantic switch.
         funnel: Refinement attrition accounting (RefineStage onwards).
         profile_districts: Every well-defined user's district (step 2).
         kept_profile_districts: Study users' districts (steps 3-4).
@@ -114,7 +102,6 @@ class StudyState:
     executor: ShardedExecutor = field(default_factory=ShardedExecutor)
     min_gps_tweets: int = 1
     tie_break: TieBreak = TieBreak.STRING_ASC
-    columnar: bool = True
 
     funnel: RefinementFunnel = field(default_factory=RefinementFunnel)
     profile_districts: dict[int, District] = field(default_factory=dict)
@@ -494,34 +481,16 @@ class ReverseGeocodeStage:
         state.kept_profile_districts[user_id] = district
 
 
-def _group_users_shard(
-    user_chunks: list[list[GeotaggedObservation]], payload: object
-) -> dict[int, UserGrouping]:
-    """Shard worker: run the batch grouping method over one chunk of users.
-
-    ``user_chunks`` holds each user's observation rows; users are
-    independent under the method, so a chunk classifies exactly as it
-    would inside the full serial run.
-    """
-    (tie_break,) = payload  # type: ignore[misc]
-    flat = [obs for rows in user_chunks for obs in rows]
-    return group_users(flat, tie_break=tie_break)
-
-
 class GroupingStage:
-    """The paper's merged-string Top-k method, sharded per user.
+    """The paper's merged-string Top-k method, in-process over columns.
 
-    Users are independent under the grouping method, so observations are
-    partitioned into contiguous per-user chunks (first-encounter user
-    order, matching the serial dict order) and classified shard-by-shard;
-    merging is dict concatenation in shard order.
-
-    With ``state.columnar`` (the default) the stage instead packs the
-    observations into interned int64 columns and groups by integer sort
-    + run-length counting; sharded runs write the columns to one temp
-    buffer file that workers ``mmap`` and answer with packed result
-    columns — no pickled object shards either way.  Both paths are
-    property-tested byte-identical (``tests/engine/test_columnar_engine``).
+    Observations are packed into interned int64 columns and grouped by
+    integer sort + run-length counting
+    (:func:`~repro.columnar.grouping.columnar_group_users`), whatever the
+    shard plan: the stage costs milliseconds next to reverse geocoding,
+    and a process fan-out only adds pickling and fork cost to it.  Output
+    equals :func:`~repro.grouping.topk.group_users`, the paper's
+    reference method (``tests/engine/test_columnar_engine.py``).
     """
 
     name = "grouping"
@@ -530,94 +499,16 @@ class GroupingStage:
         """Classify every study user into their Top-k group."""
         with context.stage(self.name) as span:
             span.items_in = len(state.observations)
-            if state.columnar:
-                groupings = self._run_columnar(context, state)
-            else:
-                groupings = self._run_dicts(context, state)
+            groupings = columnar_group_users(
+                MatchColumns.from_observations(state.observations),
+                state.tie_break,
+            )
             state.groupings = groupings
             span.items_out = len(groupings)
             context.metrics.counter("grouping.users", len(groupings))
             context.metrics.counter("grouping.observations", len(state.observations))
             for grouping in groupings.values():
                 context.metrics.counter(f"grouping.group.{grouping.group.value}")
-
-    # -------------------------------------------------------------- dict path
-    def _run_dicts(
-        self, context: RunContext, state: StudyState
-    ) -> dict[int, UserGrouping]:
-        """The pre-columnar path: pickled per-user chunks of objects."""
-        per_user: dict[int, list[GeotaggedObservation]] = {}
-        for observation in state.observations:
-            per_user.setdefault(observation.user_id, []).append(observation)
-        report = state.executor.run_shards(
-            list(per_user.values()),
-            _group_users_shard,
-            payload=(state.tie_break,),
-        )
-        if state.executor.shards > 1:
-            _record_shard_run(context, self.name, report)
-        groupings: dict[int, UserGrouping] = {}
-        for shard_result in report.results:
-            groupings.update(shard_result)
-        return groupings
-
-    # ---------------------------------------------------------- columnar path
-    def _run_columnar(
-        self, context: RunContext, state: StudyState
-    ) -> dict[int, UserGrouping]:
-        """Pack, (optionally) shard over an mmap'd buffer, merge, classify."""
-        columns = MatchColumns.from_observations(state.observations)
-        executor = state.executor
-        if executor.shards > 1 and len(columns):
-            try:
-                user_slices = columns.user_slices()
-            except ConfigurationError:
-                # A hand-assembled state with interleaved users cannot be
-                # row-range sharded; the in-memory merge handles any order.
-                user_slices = None
-            if user_slices is not None:
-                packed = self._merge_sharded(context, state, columns, user_slices)
-                return groupings_from_packed(
-                    packed, columns.interner.lookup, state.tie_break
-                )
-        packed = merged_rows_packed(columns)
-        return groupings_from_packed(
-            packed, columns.interner.lookup, state.tie_break
-        )
-
-    def _merge_sharded(
-        self,
-        context: RunContext,
-        state: StudyState,
-        columns: MatchColumns,
-        user_slices: list[tuple[int, int, int]],
-    ):
-        """Run the merge across shards against one shared buffer file.
-
-        Users are partitioned exactly as the dict path partitions them
-        (contiguous near-equal chunks in first-encounter order), but a
-        shard's work order is a single :class:`ShardSlice` row range and
-        its result is packed fixed-width columns — the parent merges by
-        array concatenation, in shard order.
-        """
-        chunks = partition(user_slices, state.executor.shards)
-        slices: list[ShardSlice] = []
-        position = len(columns)
-        for chunk in reversed(chunks):
-            if chunk:
-                position = chunk[0][1]
-                slices.append(ShardSlice(position, chunk[-1][2]))
-            else:
-                slices.append(ShardSlice(position, position))
-        slices.reverse()
-        with tempfile.TemporaryDirectory(prefix="repro-columnar-") as tmp:
-            buffer_path = str(Path(tmp) / "grouping.buf")
-            columns.write(buffer_path)
-            report = state.executor.run_shards(
-                slices, group_slices_shard, payload=(buffer_path,)
-            )
-            _record_shard_run(context, self.name, report)
-        return concat_packed(list(report.results))
 
 
 class StatisticsStage:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.errors import StorageError
 from repro.geo.region import AdminPath
 from repro.storage.journal import append_journal, read_journal
 
@@ -80,11 +81,20 @@ class CellStore:
         return self._cells[cell]
 
     def put(self, cell: Cell, outcome: AdminPath | None) -> None:
-        """Record one cell outcome durably (no-op if already identical)."""
+        """Record one cell outcome durably (no-op if already identical).
+
+        Raises:
+            StorageError: if the journal cannot be created or appended to.
+        """
         if cell in self._cells and self._cells[cell] == outcome:
             return
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        append_journal(self._path, [_encode(cell, outcome)])
+        try:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            append_journal(self._path, [_encode(cell, outcome)])
+        except OSError as exc:
+            raise StorageError(
+                f"cannot write geocode cache {self._path}: {exc}"
+            ) from exc
         self._cells[cell] = outcome
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.columnar.grouping import (
     ColumnarGrouper,
     columnar_group_users,
-    concat_packed,
     groupings_from_packed,
     merged_rows_packed,
 )
@@ -91,30 +90,6 @@ class TestBatchEquivalence:
 
 
 class TestShardedMerge:
-    @given(observation_sets(), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40)
-    def test_slice_merge_equals_whole_range(self, observations, pieces):
-        """Packing user-aligned slices and concatenating equals packing
-        the whole table — the associativity the shard protocol needs."""
-        observations.sort(key=lambda o: o.user_id)
-        columns = MatchColumns.from_observations(observations)
-        whole = merged_rows_packed(columns)
-
-        slices = columns.user_slices()
-        bounds = sorted({0, len(columns)} | {
-            slices[(i * len(slices)) // pieces][1]
-            for i in range(1, pieces)
-            if slices
-        })
-        parts = [
-            merged_rows_packed(columns, start, stop)
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-        merged = concat_packed(parts)
-        assert {name: list(column) for name, column in merged.items()} == {
-            name: list(column) for name, column in whole.items()
-        }
-
     @given(observation_sets())
     def test_trusting_stored_order_preserves_it(self, observations):
         """``tie_break=None`` materialises rows exactly as stored — the

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.columnar.records import MatchColumns
-from repro.columnar.share import MAGIC, BufferReader, BufferWriter, ShardSlice
+from repro.columnar.share import MAGIC, BufferReader, BufferWriter
 from repro.errors import StorageError
-from repro.twitter.models import GeotaggedObservation
-
-
-class TestShardSlice:
-    def test_len_is_the_row_span(self):
-        assert len(ShardSlice(3, 10)) == 7
-        assert len(ShardSlice(5, 5)) == 0
 
 
 class TestRoundTrip:
@@ -48,17 +40,6 @@ class TestRoundTrip:
         writer.add_i64("twice", array("q", [1]))
         with pytest.raises(StorageError):
             writer.add_i64("twice", array("q", [2]))
-
-    def test_match_columns_round_trip_via_mapped(self, small_ctx, tmp_path):
-        observations = small_ctx.ladygaga_study.observations
-        columns = MatchColumns.from_observations(observations)
-        path = tmp_path / "columns.buf"
-        columns.write(path)
-        with BufferReader(path) as reader:
-            mapped = MatchColumns.mapped(reader)
-            assert len(mapped) == len(columns)
-            assert mapped.to_observations() == list(observations)
-            del mapped
 
 
 class TestFailureModes:

@@ -1,11 +1,13 @@
-"""Engine-level equivalence of the columnar grouping path.
+"""Engine-level checks of the one (columnar) grouping path.
 
-The acceptance bar of the columnar refactor: with ``columnar`` on or
-off, ``run_study`` produces the byte-identical ``study_to_json``
-document — and therefore the identical ``study_digest`` / serving
-version — on both datasets, on the serial and the process backend.
-Also pins the ``ShardedExecutor`` no-pool fix: single-shard and
-all-empty workloads must never fork a worker fleet.
+The engine groups in-process over interned columns for every shard
+count and backend.  Its groupings must equal the paper's reference
+method (:func:`~repro.grouping.topk.group_users`) under every tie-break
+policy, and sharded runs — serial or process backend — must produce the
+byte-identical ``study_to_json`` document, and therefore the identical
+``study_digest`` / serving version, as the serial run.  Also pins the
+``ShardedExecutor`` no-pool fix: single-shard and all-empty workloads
+must never fork a worker fleet.
 """
 
 import pytest
@@ -13,9 +15,9 @@ import pytest
 from repro.analysis.correlation import run_study
 from repro.analysis.serialization import study_digest, study_to_json
 from repro.engine import EngineConfig
-from repro.engine.engine import default_engine_config
 from repro.engine.sharding import ShardedExecutor
-from repro.errors import ConfigurationError
+from repro.grouping.merge import TieBreak
+from repro.grouping.topk import group_users
 
 
 def _run(dataset, name, **config):
@@ -36,35 +38,35 @@ def _echo_worker(chunk, payload):
 class TestColumnarEquivalence:
     @pytest.mark.parametrize("dataset", ["korean", "ladygaga"])
     def test_byte_identical_serial(self, small_ctx, dataset):
+        """Engine groupings equal the paper's reference method, user
+        order included, under every tie-break policy."""
         source = getattr(small_ctx, f"{dataset}_dataset")
-        reference = _run(source, dataset, columnar=False)
-        columnar = _run(source, dataset, columnar=True)
-        assert study_to_json(columnar) == study_to_json(reference)
-        assert study_digest(columnar) == study_digest(reference)
+        for tie_break in TieBreak:
+            result = _run(source, dataset, tie_break=tie_break)
+            reference = group_users(result.observations, tie_break=tie_break)
+            assert result.groupings == reference, tie_break
+            assert list(result.groupings) == list(reference), tie_break
 
     @pytest.mark.parametrize("shards", [2, 4, 7])
     def test_byte_identical_sharded_serial_backend(self, small_ctx, shards):
         source = small_ctx.korean_dataset
-        reference = _run(source, "korean", columnar=False)
-        columnar = _run(source, "korean", columnar=True, shards=shards)
-        assert study_to_json(columnar) == study_to_json(reference)
+        serial = _run(source, "korean")
+        sharded = _run(source, "korean", shards=shards)
+        assert study_to_json(sharded) == study_to_json(serial)
+        assert study_digest(sharded) == study_digest(serial)
 
     def test_byte_identical_process_backend(self, small_ctx):
         source = small_ctx.ladygaga_dataset
-        reference = _run(source, "ladygaga", columnar=False)
-        columnar = _run(
-            source, "ladygaga", columnar=True, shards=4, backend="process"
-        )
-        assert study_to_json(columnar) == study_to_json(reference)
+        serial = _run(source, "ladygaga")
+        process = _run(source, "ladygaga", shards=4, backend="process")
+        assert study_to_json(process) == study_to_json(serial)
 
     def test_process_single_shard_matches_serial(self, small_ctx):
         """The regression the pool fix pins: ``--backend process
         --shards 1`` answers inline and byte-identically to serial."""
         source = small_ctx.korean_dataset
-        serial = _run(source, "korean", columnar=True)
-        process = _run(
-            source, "korean", columnar=True, shards=1, backend="process"
-        )
+        serial = _run(source, "korean")
+        process = _run(source, "korean", shards=1, backend="process")
         assert study_to_json(process) == study_to_json(serial)
 
 
@@ -86,18 +88,3 @@ class TestNoPoolRegression:
             report = executor.run_shards([1, 2, 3, 4], _echo_worker)
             assert report.results == [[1, 2], [3, 4]]
             assert executor._pool is not None
-
-
-class TestColumnarConfig:
-    def test_default_engine_config_columnar_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        assert default_engine_config().columnar is False
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
-        assert default_engine_config().columnar is True
-        monkeypatch.delenv("REPRO_COLUMNAR")
-        assert default_engine_config().columnar is True
-
-    def test_invalid_columnar_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "sideways")
-        with pytest.raises(ConfigurationError):
-            default_engine_config()

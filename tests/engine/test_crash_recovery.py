@@ -9,6 +9,7 @@ helper the seed-equivalence suite uses.
 """
 
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,14 @@ def references(small_ctx):
         ds = getattr(small_ctx, f"{name}_dataset")
         out[name] = (ds, run_study(ds.users, ds.tweets, ds.gazetteer, name))
     return out
+
+
+def assert_crash_budget_spent(plan):
+    """Every armed crash fired, so the case really exercised recovery.
+
+    Only the reverse-geocode stage fans out to the pool, so the armed
+    shard must receive cache misses or the worker never runs."""
+    assert Path(plan.token_path).read_text(encoding="utf-8") == "0"
 
 
 def _run_with_plan(ds, name, plan, shards, cache_dir=None):
@@ -51,6 +60,7 @@ class TestCrashedWorkerStaysByteIdentical:
         plan = WorkerFaultPlan.arm(tmp_path / "token", shard=shards - 1, crashes=1)
         result = _run_with_plan(ds, dataset, plan, shards)
         assert_results_identical(reference, result)
+        assert_crash_budget_spent(plan)
 
     @pytest.mark.parametrize("dataset", ["korean", "ladygaga"])
     def test_repeated_crash_serial_fallback(self, references, tmp_path, dataset):
@@ -58,6 +68,7 @@ class TestCrashedWorkerStaysByteIdentical:
         plan = WorkerFaultPlan.arm(tmp_path / "token", shard=0, crashes=2)
         result = _run_with_plan(ds, dataset, plan, 4)
         assert_results_identical(reference, result)
+        assert_crash_budget_spent(plan)
 
     def test_crash_recovery_emits_actionable_warning(self, references, tmp_path):
         """Operators get a RuntimeWarning naming the path taken, never a
@@ -72,6 +83,7 @@ class TestCrashedWorkerStaysByteIdentical:
                 ),
             )
         assert_results_identical(reference, result)
+        assert_crash_budget_spent(plan)
 
     def test_recovery_metrics_reported(self, references, tmp_path):
         ds, _ = references["korean"]
@@ -86,6 +98,7 @@ class TestCrashedWorkerStaysByteIdentical:
                 ),
                 context=context,
             )
+        assert_crash_budget_spent(plan)
         snap = context.metrics.snapshot()
         assert snap["sharding.worker_retries"] >= 1
         assert snap["sharding.serial_fallbacks"] >= 1
@@ -102,6 +115,7 @@ class TestCrashLeavesCacheConsistent:
         plan = WorkerFaultPlan.arm(tmp_path / "token", shard=2, crashes=1)
         result = _run_with_plan(ds, "korean", plan, 4, cache_dir=cache_dir)
         assert_results_identical(reference, result)
+        assert_crash_budget_spent(plan)
         assert cell_cache_path(cache_dir).exists()
         assert not list(cache_dir.glob("geocells.shard-*.jsonl"))
 

@@ -128,22 +128,32 @@ class TestStudy:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
-    def test_study_no_columnar_matches_default(self, capsys):
-        """--no-columnar falls back to per-user dict merging; the output
-        must not move by a byte."""
-        assert main(["study", "--dataset", "korean", *FAST]) == 0
-        columnar = capsys.readouterr().out
-        assert main(["study", "--dataset", "korean", "--no-columnar", *FAST]) == 0
-        dicts = capsys.readouterr().out
-        assert dicts == columnar
+    @pytest.mark.parametrize("prefix", ["", "no-"], ids=["on", "off"])
+    def test_removed_columnar_flag_rejected(self, capsys, prefix):
+        """Grouping has one path; both spellings of the removed switch
+        are unknown options."""
+        flag = f"--{prefix}columnar"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--dataset", "korean", flag, *FAST])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert flag in err
 
-    def test_columnar_defaults_on(self):
-        args = build_parser().parse_args(["study", "--dataset", "korean"])
-        assert args.columnar is True
-        args = build_parser().parse_args(
-            ["study", "--dataset", "korean", "--no-columnar"]
-        )
-        assert args.columnar is False
+    @pytest.mark.parametrize("option", ["--save", "--cache-dir"])
+    def test_unwritable_output_path_fails_cleanly(self, capsys, tmp_path, option):
+        """An output path below a regular file is one error line and a
+        nonzero exit, never a traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker / "sub" / ("study.json" if option == "--save" else "cache")
+        code = main(["study", "--dataset", "korean", option, str(target), *FAST])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert str(blocker) in err
+        assert "Traceback" not in err
 
     def test_shard_failure_exits_code_4(self, capsys, monkeypatch):
         """A worker exception surfaces as exit code 4 with the shard and
