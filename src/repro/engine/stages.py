@@ -194,10 +194,10 @@ def _resolve_cells_shard(
     Each shard owns a full *shard-local* tiered
     :class:`~repro.geocode.service.GeocodeService` — an L1 over an
     optional shard-partitioned cell-store segment file — wrapping a
-    PlaceFinder client (XML round trip included, so per-lookup cost
-    matches the serial path) built from the shared gazetteer.  Workers
-    never touch the shared warm cache; the parent merges their segments
-    and stats after they return.  Because cell outcomes are pure
+    PlaceFinder client (the same backend and accounting as the serial
+    path) built from the shared gazetteer.  Workers never touch the
+    shared warm cache; the parent merges their segments and stats after
+    they return.  Because cell outcomes are pure
     functions of the cell key, a worker retried after a crash reopens its
     segment, warm-starts from the cells it already persisted, and still
     returns byte-identical outcomes.  Module-level so the process

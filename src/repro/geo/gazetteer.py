@@ -52,6 +52,15 @@ from repro.geo.point import EARTH_RADIUS_KM, GeoPoint
 from repro.geo.polygon import BoundaryPolygon
 from repro.geo.region import BoundingBox, District
 
+#: Slack (km) the latitude-gap bound ``R * |dlat|`` must clear before it
+#: prunes a candidate.  The bound is a true lower bound of the haversine
+#: distance in exact arithmetic, but the computed haversine can fall
+#: below it: by up to ~6e-5 km for near-antipodal latitudes, where
+#: ``asin`` is ill-conditioned (a relative 3e-9, so a relative shave of
+#: 1e-9 is not enough), and all the way to 0 for gaps under ~1e-150 km,
+#: where ``sin**2`` underflows.  A metre covers both with room to spare.
+_PRUNE_SLACK_KM = 1e-3
+
 
 @runtime_checkable
 class GazetteerBackend(Protocol):
@@ -242,14 +251,27 @@ class SpatialGridCore:
         cell boundaries, near the poles, and across the antimeridian.
         Ties break to the first candidate encountered (strict ``<``), so
         identical bucket ordering across backends yields identical answers.
+
+        A candidate whose latitude gap alone already exceeds the best
+        distance is skipped without a haversine: the meridian arc of the
+        gap is a lower bound of the great-circle distance (less
+        :data:`_PRUNE_SLACK_KM`, so float error cannot prune a candidate
+        the exact test would keep), and a candidate at or beyond
+        ``best_d`` could never win a strict ``<`` anyway, so pruning
+        changes no answer and no tie-break.
         """
         max_ring = int(math.ceil(360.0 / self._grid_deg)) + 2
         best = -1
         best_d = math.inf
+        lat0 = math.radians(point.lat)
         seen: set[tuple[int, int]] = set()
         for ring in range(max_ring):
             for index in self._candidate_ids(point, ring, seen):
-                d = self._center_at(index).distance_km(point)
+                center = self._center_at(index)
+                gap_km = EARTH_RADIUS_KM * abs(math.radians(center.lat) - lat0)
+                if gap_km - _PRUNE_SLACK_KM > best_d:
+                    continue  # provably no closer than the best so far
+                d = center.distance_km(point)
                 if d < best_d:
                     best, best_d = index, d
             if best >= 0 and best_d <= self._ring_lower_bound_km(point, ring):
@@ -270,7 +292,9 @@ class SpatialGridCore:
 
         Used by event localisation to enumerate plausible witness districts.
         Sorted by distance; equidistant districts keep encounter order
-        (stable sort over the shell scan).
+        (stable sort over the shell scan).  Candidates whose latitude gap
+        alone exceeds ``radius_km`` are pruned before the haversine, by
+        the same lower bound and slack :meth:`nearest` uses.
         """
         # Ring count that covers radius_km in latitude and — widened by the
         # bounding-box asin formula, which accounts for meridian convergence
@@ -285,10 +309,15 @@ class SpatialGridCore:
         deg = max(lat_deg, lon_deg) + self._grid_deg
         rings = int(math.ceil(deg / self._grid_deg))
         hits: list[tuple[int, float]] = []
+        lat0 = math.radians(point.lat)
         seen: set[tuple[int, int]] = set()
         for ring in range(rings + 1):
             for index in self._candidate_ids(point, ring, seen):
-                d = self._center_at(index).distance_km(point)
+                center = self._center_at(index)
+                gap_km = EARTH_RADIUS_KM * abs(math.radians(center.lat) - lat0)
+                if gap_km - _PRUNE_SLACK_KM > radius_km:
+                    continue  # latitude gap alone puts it out of range
+                d = center.distance_km(point)
                 if d <= radius_km:
                     hits.append((index, d))
         hits.sort(key=lambda pair: pair[1])

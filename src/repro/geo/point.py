@@ -113,12 +113,14 @@ def destination_point(start: GeoPoint, bearing_deg: float, distance_km: float) -
     brg = math.radians(bearing_deg)
     lat1 = math.radians(start.lat)
     lon1 = math.radians(start.lon)
-    lat2 = math.asin(
-        math.sin(lat1) * math.cos(ang) + math.cos(lat1) * math.sin(ang) * math.cos(brg)
-    )
+    # Each sine and cosine is taken once; the values, and so every output
+    # bit, are the same as evaluating them where they are used.
+    sin_lat1, cos_lat1 = math.sin(lat1), math.cos(lat1)
+    sin_ang, cos_ang = math.sin(ang), math.cos(ang)
+    lat2 = math.asin(sin_lat1 * cos_ang + cos_lat1 * sin_ang * math.cos(brg))
     lon2 = lon1 + math.atan2(
-        math.sin(brg) * math.sin(ang) * math.cos(lat1),
-        math.cos(ang) - math.sin(lat1) * math.sin(lat2),
+        math.sin(brg) * sin_ang * cos_lat1,
+        cos_ang - sin_lat1 * math.sin(lat2),
     )
     lon2 = (math.degrees(lon2) + 540.0) % 360.0 - 180.0
     return GeoPoint(math.degrees(lat2), lon2)

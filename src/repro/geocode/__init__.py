@@ -7,7 +7,7 @@ Public surface of :mod:`repro.geocode`:
   over a backend), with canonical-representative cell semantics
 * :class:`GeocodeBackend` — the resolver protocol, implemented by
   :class:`DirectBackend` (in-process) and :class:`PlaceFinderBackend`
-  (simulated API, XML round-trip)
+  (simulated API: quota, latency, failure injection)
 * :class:`CellStore` — the append-only on-disk cell tier
 * :class:`FailurePlan` / :class:`RetryPolicy` /
   :func:`resolve_with_retries` — the shared lookup policy

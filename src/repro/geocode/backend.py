@@ -11,8 +11,8 @@ Two implementations cover the repository's resolvers:
 * :class:`DirectBackend` wraps the library-level
   :class:`~repro.geo.reverse.ReverseGeocoder` — no XML, no quota.
 * :class:`PlaceFinderBackend` wraps the simulated
-  :class:`~repro.yahooapi.client.PlaceFinderClient` — one full XML
-  round-trip per lookup, quota and failure injection included.
+  :class:`~repro.yahooapi.client.PlaceFinderClient` — its cache, quota
+  and failure injection included, without rendering XML per lookup.
 """
 
 from __future__ import annotations
@@ -57,11 +57,13 @@ class DirectBackend:
 
 
 class PlaceFinderBackend:
-    """Backend over the simulated PlaceFinder client (XML round-trip).
+    """Backend over the simulated PlaceFinder client.
 
     The client's own quota accounting, simulated latency, and failure
     injection all apply — a lookup through this backend costs exactly
-    what the paper's per-tweet API call cost.
+    what the paper's per-tweet API call cost.  It asks the client for the
+    path alone (:meth:`~repro.yahooapi.client.PlaceFinderClient.reverse_geocode_path`):
+    the XML document would be rendered only to be parsed straight back.
     """
 
     def __init__(self, client: "PlaceFinderClient"):
@@ -73,6 +75,5 @@ class PlaceFinderBackend:
         return self._client
 
     def lookup(self, point: GeoPoint) -> AdminPath | None:
-        """One uncached-or-cached client lookup, XML round-trip included."""
-        response = self._client.reverse_geocode(point)
-        return response.path if response.ok else None
+        """One uncached-or-cached client lookup, with the client's accounting."""
+        return self._client.reverse_geocode_path(point)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import ConfigurationError
 from repro.twitter.idgen import SnowflakeGenerator
@@ -28,6 +29,10 @@ _HOUR_WEIGHTS = (
     1, 1, 1, 1, 1, 2, 4, 8, 10, 9, 8, 10,
     12, 10, 9, 9, 10, 11, 13, 15, 16, 14, 9, 4,
 )
+
+#: Running sums of :data:`_HOUR_WEIGHTS`; ``random.choices`` would build
+#: this same list on every draw from ``weights=``.
+_HOUR_CUM_WEIGHTS = tuple(accumulate(_HOUR_WEIGHTS))
 
 _CHATTER = (
     "so sleepy today",
@@ -185,7 +190,7 @@ class TweetGenerator:
         millisecond, same 10-bit worker, same sequence) out of reach.
         """
         day = rng.randrange(self._window.days)
-        hour = rng.choices(range(24), weights=_HOUR_WEIGHTS, k=1)[0]
+        hour = rng.choices(range(24), cum_weights=_HOUR_CUM_WEIGHTS, k=1)[0]
         second = rng.randrange(3_600)
         millis = rng.randrange(1_000)
         return (

@@ -14,10 +14,16 @@ the test suite down.
 Cache semantics are **order-insensitive**: coordinates quantise to 0.001°
 cells and a cache miss is resolved at the cell's *canonical
 representative point* (its grid anchor), never at the particular
-coordinates that happened to arrive first.  The cached response — and
+coordinates that happened to arrive first.  The cached outcome — and
 therefore every answer the client gives — is a pure function of the cell
 key, matching the tiered :class:`~repro.geocode.service.GeocodeService`
 cell for cell.
+
+The cache holds resolved outcomes, not XML: :meth:`reverse_geocode_xml`
+renders the document from the cached outcome on every call (rendering is
+deterministic, so the bytes are the same on a hit as on the miss), and
+:meth:`PlaceFinderClient.reverse_geocode_path` answers the administrative
+path with no XML at all.  Both go through one accounting sequence.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.errors import (
 )
 from repro.geo.point import GeoPoint
 from repro.geo.region import AdminPath
-from repro.geo.reverse import ReverseGeocoder
+from repro.geo.reverse import ReverseGeocodeResult, ReverseGeocoder
 from repro.geocode.policy import FailurePlan, RetryPolicy, resolve_with_retries
 from repro.yahooapi.xml import (
     PlaceFinderResponse,
@@ -134,7 +140,11 @@ class PlaceFinderClient:
         self._latency_s = latency_s
         self._failure_plan = failure_plan or FailurePlan()
         self._cache_quantum_deg = cache_quantum_deg
-        self._cache: dict[tuple[int, int], str] = {}
+        # Cell key -> (representative point, result), or None for a cell
+        # the service answered "no result" for.
+        self._cache: dict[
+            tuple[int, int], tuple[GeoPoint, ReverseGeocodeResult] | None
+        ] = {}
         self.stats = ClientStats()
 
     # ---------------------------------------------------------------- public
@@ -144,17 +154,48 @@ class PlaceFinderClient:
         A cache miss resolves the cell's canonical representative point
         (the quantisation-grid anchor), not ``point`` itself — the
         response is a pure function of the cache cell, so arrival order
-        can never change what a cell answers.
+        can never change what a cell answers.  The document is rendered
+        from the cached outcome, byte-identical on every call.
 
         Raises:
             RateLimitExceededError: once the daily quota is exhausted.
             ServiceUnavailableError: when the failure plan fires.
         """
+        outcome = self._lookup(point)
+        if outcome is None:
+            return render_error(ERROR_NO_RESULT, "No result for coordinates")
+        rep, result = outcome
+        return render_success(rep, result.path, result.quality)
+
+    def reverse_geocode_path(self, point: GeoPoint) -> AdminPath | None:
+        """Perform a lookup and return only the administrative path.
+
+        Same cache, quota, latency, failure injection and accounting as
+        :meth:`reverse_geocode_xml` — the two are interchangeable call by
+        call — but nothing is rendered or parsed; ``None`` is the
+        no-result answer.  This is the per-point call of
+        :class:`~repro.geocode.backend.PlaceFinderBackend`.
+
+        Raises:
+            RateLimitExceededError: once the daily quota is exhausted.
+            ServiceUnavailableError: when the failure plan fires.
+        """
+        outcome = self._lookup(point)
+        return None if outcome is None else outcome[1].path
+
+    def _lookup(
+        self, point: GeoPoint
+    ) -> tuple[GeoPoint, ReverseGeocodeResult] | None:
+        """The one accounting sequence behind every lookup.
+
+        Cache hit, then quota, ``requests`` and latency, then the failure
+        plan, then resolution at the cell's representative point; a
+        resolver miss counts ``no_result`` and is cached as ``None``.
+        """
         key = self._cache_key(point)
-        cached = self._cache.get(key)
-        if cached is not None:
+        if key in self._cache:
             self.stats.cache_hits += 1
-            return cached
+            return self._cache[key]
 
         if self.stats.requests >= self._daily_quota:
             raise RateLimitExceededError(retry_after_s=86_400.0, message="daily quota reached")
@@ -166,15 +207,14 @@ class PlaceFinderClient:
             raise ServiceUnavailableError("simulated transient 503")
 
         rep = GeoPoint(key[0] * self._cache_quantum_deg, key[1] * self._cache_quantum_deg)
+        outcome: tuple[GeoPoint, ReverseGeocodeResult] | None
         try:
-            result = self._geocoder.resolve(rep)
+            outcome = (rep, self._geocoder.resolve(rep))
         except GeocodingError:
             self.stats.no_result += 1
-            document = render_error(ERROR_NO_RESULT, "No result for coordinates")
-        else:
-            document = render_success(rep, result.path, result.quality)
-        self._cache[key] = document
-        return document
+            outcome = None
+        self._cache[key] = outcome
+        return outcome
 
     def reverse_geocode(self, point: GeoPoint) -> PlaceFinderResponse:
         """Lookup returning the parsed response (XML round-trip included)."""

@@ -8,6 +8,7 @@ from repro.errors import UnknownRegionError
 from repro.geo.gazetteer import Gazetteer
 from repro.geo.point import GeoPoint
 from repro.geo.region import District, DistrictKind
+from tests.geo.search_oracles import assert_search_exact, catalogues_and_queries, district
 
 
 def _district(name: str, state: str, lat: float, lon: float) -> District:
@@ -189,3 +190,71 @@ class TestFactories:
     def test_combined_no_duplicate_seoul(self, combined_gazetteer):
         keys = [d.key() for d in combined_gazetteer.districts]
         assert len(keys) == len(set(keys))
+
+
+class TestPrunedSearch:
+    """``nearest``/``within`` prune on the latitude gap; the answers,
+    ties included, must equal brute force and the unpruned shell scan."""
+
+    @given(catalogues_and_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracles(self, case):
+        districts, grid_deg, point, radius_km = case
+        assert_search_exact(Gazetteer(districts, grid_deg=grid_deg), point, radius_km)
+
+    @given(
+        st.floats(min_value=33.2, max_value=38.2),
+        st.floats(min_value=126.2, max_value=129.5),
+        st.floats(min_value=0.0, max_value=500.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_korean_matches_oracles(self, korean_gazetteer, lat, lon, radius_km):
+        assert_search_exact(korean_gazetteer, GeoPoint(lat, lon), radius_km)
+
+    def test_tie_in_one_cell_goes_to_first_index(self):
+        # D0 and D1 share a centroid: exactly equal distances, one bucket.
+        gazetteer = Gazetteer(
+            [district(2, 10.9, 20.9), district(0, 10.3, 20.3), district(1, 10.3, 20.3)],
+            grid_deg=1.0,
+        )
+        point = GeoPoint(10.5, 20.5)
+        assert gazetteer.nearest(point).name == "D0"
+        assert [d.name for d in gazetteer.within(point, 70.0)] == ["D0", "D1", "D2"]
+
+    def test_float_error_never_prunes_a_hit(self):
+        """The computed haversine can fall below the latitude-gap bound:
+        to 0 when ``sin**2`` underflows, and by ~6e-5 km (a relative
+        3e-9) between near-opposite poles, where ``asin`` is
+        ill-conditioned.  A centroid exactly at the radius must still be
+        found in both cases."""
+        for centroid, point in (
+            ((0.0, 0.0), GeoPoint(1e-300, 0.0)),
+            (
+                (-89.99999879259768, -119.13077163132184),
+                GeoPoint(89.99999999984442, -34.84172344170375),
+            ),
+        ):
+            gazetteer = Gazetteer([district(0, *centroid)], grid_deg=10.0)
+            radius_km = gazetteer.districts[0].center.distance_km(point)
+            assert [d.name for d in gazetteer.within(point, radius_km)] == ["D0"]
+            assert_search_exact(gazetteer, point, radius_km)
+
+    def test_polar_and_antimeridian_queries(self):
+        gazetteer = Gazetteer(
+            [
+                district(0, 89.99, 0.0),
+                district(1, 89.99, 180.0),
+                district(2, -89.5, -179.9),
+                district(3, -89.5, 179.9),
+                district(4, 0.0, 179.95),
+            ],
+            grid_deg=2.0,
+        )
+        for point in (
+            GeoPoint(90.0, 0.0),
+            GeoPoint(89.999, 90.0),
+            GeoPoint(-90.0, 12.0),
+            GeoPoint(-89.5, 180.0),
+            GeoPoint(0.0, -179.99),
+        ):
+            assert_search_exact(gazetteer, point, 300.0)

@@ -20,6 +20,7 @@ from repro.geo.region import District, DistrictKind
 from repro.geodata.artifact import write_gazetteer_artifact
 from repro.geodata.mmapgaz import MmapGazetteer
 from repro.geodata.registry import dataset_gazetteer, gazetteer_backend_kind
+from tests.geo.search_oracles import assert_search_exact, catalogues_and_queries
 
 
 def _district(name, state, lat, lon):
@@ -168,6 +169,27 @@ class TestSpatialEquivalence:
         sea = GeoPoint(37.5, 131.5)
         assert korean_mmap.nearest_within(sea, max_km=10.0) is None
         assert korean_mmap.nearest_within(sea, max_km=500.0) is not None
+
+    @given(catalogues_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_search_matches_oracles(self, tmp_path_factory, case):
+        """The latitude-gap pruning sits in the shared core: the mmap
+        backend must equal brute force and the unpruned scan, ties and
+        polar/antimeridian/at-radius cases included."""
+        districts, grid_deg, point, radius_km = case
+        path = write_gazetteer_artifact(
+            tmp_path_factory.mktemp("oracle") / "g.rgaz", districts, grid_deg=grid_deg
+        )
+        assert_search_exact(MmapGazetteer(path), point, radius_km)
+
+    @given(
+        st.floats(min_value=33.2, max_value=38.2),
+        st.floats(min_value=126.2, max_value=129.5),
+        st.floats(min_value=0.0, max_value=500.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_korean_pruned_search_matches_oracles(self, korean_mmap, lat, lon, radius_km):
+        assert_search_exact(korean_mmap, GeoPoint(lat, lon), radius_km)
 
 
 class TestRegistry:

@@ -86,6 +86,33 @@ class TestStudy:
         assert "funnel.study_users" in out
         assert "reverse_geocode" in out
 
+    @pytest.mark.parametrize(
+        ("dataset", "cells", "latency"),
+        [("korean", 103, "5.15"), ("ladygaga", 76, "3.8")],
+    )
+    def test_study_metrics_geocode_lines_pinned(self, capsys, dataset, cells, latency):
+        """The ``geocode.*`` accounting lines, pinned: the PlaceFinder
+        backend's path-only lookups must account exactly as the XML
+        round trip they replaced."""
+        assert main(["study", "--dataset", dataset, "--metrics", *FAST]) == 0
+        lines = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("geocode.")
+        ]
+        expected = {
+            "cache_hits": 0, "failures_injected": 0, "no_result": 0,
+            "requests": cells, "retries": 0, "retry_exhausted": 0,
+            "simulated_latency_s": latency,
+            "tiers.backend.lookups": cells, "tiers.backend.no_result": 0,
+            "tiers.backend.retries": 0, "tiers.backend.retry_exhausted": 0,
+            "tiers.cache_size": cells, "tiers.client_cache_size": cells,
+            "tiers.disk.hits": 0, "tiers.disk.misses": 0,
+            "tiers.l1.evictions": 0, "tiers.l1.hits": 0,
+            "tiers.l1.misses": cells, "tiers.l1_size": cells,
+        }
+        assert lines == [f"geocode.{key} = {value}" for key, value in expected.items()]
+
     def test_study_metrics_exposes_geocode_tiers(self, capsys):
         """`repro study --metrics` surfaces the geocode service's tier
         hit/miss counters and cache sizes (snapshot keys + summary line)."""

@@ -157,12 +157,31 @@ class TestAppendMany:
         assert len(TweetStore.load(path)) == 7
 
     def test_duplicate_in_batch_leaves_log_untouched(self, store, tmp_path):
+        """Regression: the batch is all or nothing.  A duplicate later in
+        the batch used to leave the tweets before it in memory, so the
+        in-memory mirror drifted from the log and a retry raised forever.
+        """
         path = tmp_path / "tweets.jsonl"
         store.save(path)
         before = path.read_text(encoding="utf-8")
+        tweets_before = list(store)
         with pytest.raises(DuplicateKeyError):
             store.append_many(path, [_tweet(6), _tweet(1)])
         assert path.read_text(encoding="utf-8") == before
+        assert len(store) == 5
+        assert list(store) == tweets_before
+        with pytest.raises(NotFoundError):
+            store.get(6)
+        assert store.append_many(path, [_tweet(6)]) == 1
+        assert [t.tweet_id for t in TweetStore.load(path)] == [1, 2, 3, 4, 5, 6]
+
+    def test_repeat_within_batch_is_rejected_whole(self, store, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        store.save(path)
+        with pytest.raises(DuplicateKeyError):
+            store.append_many(path, [_tweet(6), _tweet(7), _tweet(6)])
+        assert len(store) == 5
+        assert [t.tweet_id for t in TweetStore.load(path)] == [1, 2, 3, 4, 5]
 
     def test_crash_mid_batch_tears_only_the_final_line(self, store, tmp_path):
         """Regression: a crash landing mid-batch must cost at most the last

@@ -142,3 +142,36 @@ class TestSampling:
         b = model.build_profile(home, MobilityClass.WANDERER, random.Random(42))
         assert [d.key() for d in a.districts] == [d.key() for d in b.districts]
         assert a.weights == b.weights
+
+    def test_cum_weights_draw_like_weights(self, model, korean_gazetteer):
+        """``random.choices`` with the precomputed running sums consumes
+        the same ``random()`` and picks the same index as with weights."""
+        profile = model.build_profile(
+            _home(korean_gazetteer), MobilityClass.WANDERER, random.Random(5)
+        )
+        fast, slow = random.Random(9), random.Random(9)
+        for _ in range(200):
+            assert profile.sample_district(fast) == slow.choices(
+                profile.districts, weights=profile.weights, k=1
+            )[0]
+        assert fast.getstate() == slow.getstate()
+
+
+class _UnmemoisedModel(MobilityModel):
+    """Asks the gazetteer afresh on every call — the memo's oracle."""
+
+    def _within(self, anchor, radius_km):
+        return self._gazetteer.within(anchor.center, radius_km)
+
+
+class TestWithinMemo:
+    def test_memoised_profiles_equal_unmemoised(self, korean_gazetteer):
+        memo = MobilityModel(korean_gazetteer)
+        plain = _UnmemoisedModel(korean_gazetteer)
+        homes = korean_gazetteer.districts[::7]
+        for seed in range(3):
+            for archetype in MobilityClass:
+                for home in homes:
+                    a = memo.build_profile(home, archetype, random.Random(seed))
+                    b = plain.build_profile(home, archetype, random.Random(seed))
+                    assert a == b
